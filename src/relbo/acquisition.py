@@ -12,10 +12,10 @@ point inside the feasible box.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.linalg import cho_solve
 
 from .numerics import (
     SobolStream,
@@ -33,23 +33,20 @@ from .optimizers import (
     multistart_qn,
 )
 from .reliability import (
-    ISSample,
     SmoothingConfig,
     _feasibility_parts,
     _phi_terms,
     _smoothed_log_terms,
     draw_is_sample,
-    estimate_pn,
     estimate_pn_batch,
     estimate_ptilde,
+    estimate_ptilde_batch,
+    log_mean_wj,
+    perturbed_grid,
 )
-from scipy.linalg import cho_solve
-
 from .surrogate import NUGGET, SurrogateState, matern52
 
 log = logging.getLogger(__name__)
-
-KINDS = ("ts_mr", "kg_mr_discrete", "kg_mr_oneshot", "hc", "egra", "ei", "sobol")
 
 # Boundary for clamping standardized deviations so log CDFs stay finite.
 _H_CLAMP = 37.0
@@ -74,7 +71,7 @@ class AcquisitionSpec:
     direct_budget_per_dim: int = 200
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _strategies():
             raise ValueError(f"unknown acquisition kind {self.kind!r}")
         if min(self.n_u, self.n_v, self.n_x, self.n_restarts) < 1:
             raise ValueError("sample sizes must be positive")
@@ -123,6 +120,38 @@ class AcqDiagnostics:
     perturbation: np.ndarray | None = None  # u_{n+1} for the Thompson strategy
 
 
+@dataclass(frozen=True)
+class AcqContext:
+    """Everything a strategy reads to choose the next query point."""
+
+    state: SurrogateState  # the surrogate fitted to (Y, v)
+    problem: object  # relbo.problems.Problem: bounds, threshold c, perturbation
+    spec: AcquisitionSpec
+    streams: IterationStreams
+    Y: np.ndarray  # (n, d) observed designs
+    v: np.ndarray  # (n,) observed values
+    sobol_seed: int = 0  # scramble seed of the run's Sobol' baseline sequence
+
+
+def next_point(ctx: AcqContext):
+    """The next query point and its diagnostics, by ``ctx.spec.kind``."""
+    return _strategies()[ctx.spec.kind](ctx)
+
+
+def _strategies():
+    # Built on each call from the module globals, so a rebound strategy name
+    # (a profiler's timing wrapper, say) is the function that runs.
+    return {
+        "ts_mr": ts_mr_next,
+        "kg_mr_discrete": kg_discrete_next,
+        "kg_mr_oneshot": kg_oneshot_next,
+        "hc": hc_next,
+        "egra": egra_next,
+        "ei": ei_next,
+        "sobol": sobol_next,
+    }
+
+
 def _scale_to_box(unit_pts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     bounds = np.asarray(bounds, float)
     return bounds[:, 0] + unit_pts * (bounds[:, 1] - bounds[:, 0])
@@ -137,24 +166,11 @@ def _phi_ratio(log_pdf, log_cdf):
 # -- Thompson sampling -----------------------------------------------------
 
 
-def _ptilde_log_batch(path, xs, is_sample, bounds, smoothing, c):
-    """log of the path failure probability at a batch of nominal designs."""
-    xs = np.atleast_2d(np.asarray(xs, float))
-    m, d = xs.shape
-    n_u = len(is_sample)
-    pts = (xs[:, None, :] + is_sample.points[None, :, :]).reshape(m * n_u, d)
-    h = (path.evaluate(pts) - c) / smoothing.rho
-    log_phi = std_normal_log_cdf(h)
-    iota, _ = _feasibility_parts(pts, bounds, smoothing.delta, False)
-    log_j, _, _ = _smoothed_log_terms(log_phi, h, iota, False)
-    terms = is_sample.log_weights[None, :] + log_j.reshape(m, n_u)
-    return logsumexp(terms, axis=1) - np.log(n_u)
-
-
-def ts_mr_next(state, problem, spec, streams):
+def ts_mr_next(ctx: AcqContext):
     """Thompson step: optimize a posterior sample for the most reliable
     nominal design, then probe it with the most informative perturbation."""
-    bounds = np.asarray(problem.bounds, float)
+    state, problem, spec, streams = ctx.state, ctx.problem, ctx.spec, ctx.streams
+    bounds = problem.bounds
     d = bounds.shape[0]
     smoothing = SmoothingConfig.for_box(bounds, rho=spec.rho)
     path = state.draw_rff_path(1024, seed=streams.path_seed)
@@ -162,7 +178,7 @@ def ts_mr_next(state, problem, spec, streams):
 
     # Stage 1: nominal design minimizing the path's log failure probability.
     cands = _scale_to_box(streams.x_stream.take(spec.raw_count(d)), bounds)
-    cand_vals = -_ptilde_log_batch(path, cands, is_sample, bounds, smoothing, problem.c)
+    cand_vals = -estimate_ptilde_batch(path, cands, is_sample, bounds, smoothing, problem.c)
     plan = RestartPlan(len(cands), spec.n_restarts)
     starts = boltzmann_restarts(cands, cand_vals, plan, streams.restart_seed)
 
@@ -241,8 +257,7 @@ def kg_discrete_value(
     """
     smoothing = SmoothingConfig(0.0, spec.rho)
     if baseline is None:
-        base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, smoothing, c)
-        baseline = float(np.max(_value_from_log_p(base_log, spec.use_log)))
+        baseline = _kg_baseline(state, x_disc, is_sample, bounds, smoothing, c, spec.use_log)
     total = 0.0
     for z in z_sample:
         fant = state.fantasize(y, float(z))
@@ -252,6 +267,13 @@ def kg_discrete_value(
             return np.inf
         total += best
     return total / len(z_sample) - baseline
+
+
+def _kg_baseline(state, x_disc, is_sample, bounds, smoothing, c, use_log):
+    """The best current value over the design grid: the term the knowledge
+    gradient subtracts, taken under the smoothing its maximization uses."""
+    base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, smoothing, c)
+    return float(np.max(_value_from_log_p(base_log, use_log)))
 
 
 class _FantasyScan:
@@ -272,12 +294,7 @@ class _FantasyScan:
         self.c = c
         self.spec = spec
         self.x_disc = np.atleast_2d(np.asarray(x_disc, float))
-        self.n_x = len(self.x_disc)
-        self.n_u = len(is_sample)
-        pts = (
-            self.x_disc[:, None, :] + is_sample.points[None, :, :]
-        ).reshape(self.n_x * self.n_u, -1)
-        self.pts = pts
+        pts = perturbed_grid(self.x_disc, is_sample)
         self.mean, self.var = state.posterior(pts)
         self.floor = NUGGET * state.transforms.output_std**2
         # Candidate-independent pieces of the posterior cross-covariance
@@ -291,9 +308,10 @@ class _FantasyScan:
         # delta = 0: hard interior indicator; outside points contribute J = 1.
         iota, _ = _feasibility_parts(pts, self.bounds, 0.0, False)
         self.inside = iota > 0.0
-        smoothing = SmoothingConfig(0.0, spec.rho)
-        base_log = estimate_pn_batch(state, self.x_disc, is_sample, bounds, smoothing, c)
-        self.baseline = float(np.max(_value_from_log_p(base_log, spec.use_log)))
+        self.baseline = _kg_baseline(
+            state, self.x_disc, is_sample, bounds, SmoothingConfig(0.0, spec.rho), c,
+            spec.use_log,
+        )
 
     def _cross_cov(self, y):
         """Posterior covariance k_n(t_i, y) for the whole grid, no gradients."""
@@ -307,7 +325,8 @@ class _FantasyScan:
         return kty * tr.output_std**2
 
     def value_at(self, y):
-        """Discrete knowledge gradient at one candidate ``y``."""
+        """Discrete knowledge gradient at one candidate ``y``, and the
+        per-fantasy index of the best grid design."""
         st = self.state
         y = np.asarray(y, float)
         kty = self._cross_cov(y)
@@ -315,28 +334,17 @@ class _FantasyScan:
         vy = max(float(vy[0]), self.floor)
         denom = vy + st.hyperparams.noise_variance * st.transforms.output_std**2
         coef = kty * np.sqrt(vy) / denom  # (Nt,)
-        fvar = np.maximum(self.var - kty**2 / denom, self.floor)
-        deg = fvar <= self.floor * (1.0 + 1e-6)
-        fsd = np.sqrt(fvar)
         # Fantasy means for all z at once: (Nv, Nt)
         fmean = self.mean[None, :] + np.outer(self.z, coef)
-        h = (fmean - self.c) / fsd[None, :]
-        log_phi = std_normal_log_cdf(h)
-        if np.any(deg):
-            hard = np.where(fmean[:, deg] >= self.c, 0.0, -np.inf)
-            log_phi[:, deg] = hard
+        log_phi, _, _, _ = _phi_terms(st, fmean, self.var - kty**2 / denom, self.c)
         log_j = np.where(self.inside[None, :], log_phi, 0.0)
-        terms = self.is_sample.log_weights[None, None, :] + log_j.reshape(
-            len(self.z), self.n_x, self.n_u
-        )
-        log_p = logsumexp(terms, axis=2) - np.log(self.n_u)  # (Nv, Nx)
+        log_p, _ = log_mean_wj(
+            self.is_sample.log_weights, log_j.reshape(len(self.z), len(self.x_disc), -1)
+        )  # (Nv, Nx)
         best = np.max(_value_from_log_p(log_p, self.spec.use_log), axis=1)
         if np.any(best == np.inf):
             return np.inf, None
-        argbest = np.argmin(log_p, axis=1) if self.spec.use_log else np.argmin(
-            log_p, axis=1
-        )
-        return float(np.mean(best) - self.baseline), argbest
+        return float(np.mean(best) - self.baseline), np.argmin(log_p, axis=1)
 
     def scan(self, ys):
         vals = np.empty(len(ys))
@@ -359,14 +367,13 @@ def _fantasy_pn_with_grads(state, y, z, xs, is_sample, bounds, smoothing, c):
     """
     z = np.asarray(z, float)
     n_v = len(z)
-    xs = np.atleast_2d(np.asarray(xs, float))
     n_u = len(is_sample)
-    d = xs.shape[1]
-    pts = (xs[:, None, :] + is_sample.points[None, :, :]).reshape(n_v * n_u, d)
+    pts = perturbed_grid(xs, is_sample)
+    d = pts.shape[1]
 
     mean, var, dmean, dvar = state.posterior_with_grad(pts)
     kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
-    ymean, yvar, _, dyvar = state.posterior_with_grad(np.asarray(y, float)[None, :])
+    _, yvar, _, dyvar = state.posterior_with_grad(np.asarray(y, float)[None, :])
     floor = NUGGET * state.transforms.output_std**2
     vy = max(float(yvar[0]), floor)
     dvy = dyvar[0] if yvar[0] > floor else np.zeros(d)
@@ -381,43 +388,26 @@ def _fantasy_pn_with_grads(state, y, z, xs, is_sample, bounds, smoothing, c):
     dfmean_dt = dmean + dk_dt * (zz * a)[:, None]
     dfmean_dy = dk_dy * (zz * a)[:, None] + np.outer(kty * zz, da_dy)
 
-    fvar = var - kty**2 / denom
-    deg = fvar <= floor * (1.0 + 1e-6)
-    fvar = np.maximum(fvar, floor)
+    log_phi, h, fsd, deg = _phi_terms(state, fmean, var - kty**2 / denom, c)
     dfvar_dt = dvar - 2.0 * kty[:, None] * dk_dt / denom
     dfvar_dy = -2.0 * kty[:, None] * dk_dy / denom + np.outer(kty**2 / denom**2, dvy)
     dfvar_dt[deg] = 0.0
     dfvar_dy[deg] = 0.0
 
-    fsd = np.sqrt(fvar)
-    h = (fmean - c) / fsd
-    log_phi = std_normal_log_cdf(h)
-    if np.any(deg):
-        log_phi = np.where(deg, np.where(fmean >= c, 0.0, -np.inf), log_phi)
     iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, True)
     log_j, ratio_h, ratio_iota = _smoothed_log_terms(
         log_phi, h, iota, True, degenerate=deg
     )
     dh_dt = (dfmean_dt - (h / (2.0 * fsd))[:, None] * dfvar_dt) / fsd[:, None]
     dh_dy = (dfmean_dy - (h / (2.0 * fsd))[:, None] * dfvar_dy) / fsd[:, None]
-    dlog_j_dt = ratio_h[:, None] * dh_dt + ratio_iota[:, None] * diota
-    dlog_j_dy = ratio_h[:, None] * dh_dy
-
-    terms = (is_sample.log_weights[None, :] + log_j.reshape(n_v, n_u))
-    log_p = logsumexp(terms, axis=1) - np.log(n_u)
-    grad_x = np.zeros((n_v, d))
-    grad_y = np.zeros((n_v, d))
-    finite = np.isfinite(log_p)
-    if np.any(finite):
-        soft = np.exp(terms - logsumexp(terms, axis=1, keepdims=True))
-        soft = np.where(finite[:, None], soft, 0.0)
-        grad_x = np.einsum(
-            "vu,vud->vd", soft, dlog_j_dt.reshape(n_v, n_u, d)
-        )
-        grad_y = np.einsum(
-            "vu,vud->vd", soft, dlog_j_dy.reshape(n_v, n_u, d)
-        )
-    return log_p, grad_x, grad_y
+    dlog_j = np.concatenate(
+        [ratio_h[:, None] * dh_dt + ratio_iota[:, None] * diota, ratio_h[:, None] * dh_dy],
+        axis=1,
+    )
+    log_p, grad = log_mean_wj(
+        is_sample.log_weights, log_j.reshape(n_v, n_u), dlog_j.reshape(n_v, n_u, 2 * d)
+    )
+    return log_p, grad[:, :d], grad[:, d:]
 
 
 def oneshot_objective(state, joint, z_sample, is_sample, bounds, smoothing, c, use_log):
@@ -449,21 +439,39 @@ def oneshot_objective(state, joint, z_sample, is_sample, bounds, smoothing, c, u
     return value, np.concatenate([gy, gx.reshape(-1)])
 
 
-def kg_discrete_next(state, problem, spec, streams):
-    """Select the next query by maximizing the discrete knowledge gradient
-    over candidate sites, polished with the envelope gradient."""
-    bounds = np.asarray(problem.bounds, float)
-    d = bounds.shape[0]
+def _kg_scan(ctx: AcqContext):
+    """The set-up both KG strategies share: the fantasy workspace over a
+    design grid and the discrete KG at the raw candidate sites.
+
+    Returns (scan, candidates, values, per-candidate argmax indices).
+    """
+    problem, spec, streams = ctx.problem, ctx.spec, ctx.streams
+    bounds = problem.bounds
     is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
     z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
     x_disc = _scale_to_box(streams.x_stream.take(spec.n_x), bounds)
-    scan = _FantasyScan(state, x_disc, z_sample, is_sample, bounds, problem.c, spec)
-
-    cands = _scale_to_box(streams.x_stream.take(spec.raw_count(d)), bounds)
+    scan = _FantasyScan(ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, spec)
+    cands = _scale_to_box(streams.x_stream.take(spec.raw_count(len(bounds))), bounds)
     vals, args = scan.scan(cands)
+    return scan, cands, vals, args
+
+
+def _unbounded_gain(cands, vals, rule):
+    """The first candidate whose KG is infinite (it rescues a design from
+    certain failure)."""
+    i = int(np.argmax(np.isinf(vals)))
+    return cands[i], AcqDiagnostics(value=np.inf, rule=rule)
+
+
+def kg_discrete_next(ctx: AcqContext):
+    """Select the next query by maximizing the discrete knowledge gradient
+    over candidate sites, polished with the envelope gradient."""
+    state, problem, spec, streams = ctx.state, ctx.problem, ctx.spec, ctx.streams
+    bounds = problem.bounds
+    d = bounds.shape[0]
+    scan, cands, vals, _ = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
-        i = int(np.argmax(np.isinf(vals)))
-        return cands[i], AcqDiagnostics(value=np.inf, rule="kg_mr_discrete")
+        return _unbounded_gain(cands, vals, "kg_mr_discrete")
     starts = boltzmann_restarts(
         cands, vals, RestartPlan(len(cands), spec.n_restarts), streams.restart_seed
     )
@@ -477,7 +485,7 @@ def kg_discrete_next(state, problem, spec, streams):
             return value, np.zeros(d)
         xs = scan.x_disc[argbest]
         log_p, _, grad_y = _fantasy_pn_with_grads(
-            state, y, scan.z, xs, is_sample, bounds, smoothing, problem.c
+            state, y, scan.z, xs, scan.is_sample, bounds, smoothing, problem.c
         )
         if spec.use_log:
             grad = -np.sum(grad_y, axis=0) / len(scan.z)
@@ -491,21 +499,15 @@ def kg_discrete_next(state, problem, spec, streams):
     return y_next, AcqDiagnostics(value=float(y_val), rule="kg_mr_discrete")
 
 
-def kg_oneshot_next(state, problem, spec, streams):
+def kg_oneshot_next(ctx: AcqContext):
     """Select the next query by jointly optimizing the observation site and
     one future best-design guess per fantasy."""
-    bounds = np.asarray(problem.bounds, float)
+    state, problem, spec, streams = ctx.state, ctx.problem, ctx.spec, ctx.streams
+    bounds = problem.bounds
     d = bounds.shape[0]
-    is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
-    z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
-    x_disc = _scale_to_box(streams.x_stream.take(spec.n_x), bounds)
-    scan = _FantasyScan(state, x_disc, z_sample, is_sample, bounds, problem.c, spec)
-
-    cands = _scale_to_box(streams.x_stream.take(spec.raw_count(d)), bounds)
-    vals, args = scan.scan(cands)
+    scan, cands, vals, args = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
-        i = int(np.argmax(np.isinf(vals)))
-        return cands[i], AcqDiagnostics(value=np.inf, rule="kg_mr_oneshot")
+        return _unbounded_gain(cands, vals, "kg_mr_oneshot")
     plan = RestartPlan(len(cands), spec.n_restarts)
     chosen = boltzmann_restarts(cands, vals, plan, streams.restart_seed)
     # Recover the per-fantasy argmax seeds for each chosen candidate.
@@ -520,7 +522,8 @@ def kg_oneshot_next(state, problem, spec, streams):
 
     def objective(joint):
         return oneshot_objective(
-            state, joint, z_sample, is_sample, bounds, smoothing, problem.c, spec.use_log
+            state, joint, scan.z, scan.is_sample, bounds, smoothing, problem.c,
+            spec.use_log,
         )
 
     joint_best, best_val, _ = multistart_qn(
@@ -528,9 +531,9 @@ def kg_oneshot_next(state, problem, spec, streams):
         starts,
         max_iters=100,
     )
-    y_next = joint_best[:d]
-    alpha = float(best_val - scan.baseline)
-    return y_next, AcqDiagnostics(value=alpha, rule="kg_mr_oneshot")
+    return joint_best[:d], AcqDiagnostics(
+        value=float(best_val - scan.baseline), rule="kg_mr_oneshot"
+    )
 
 
 # -- limit-state cascade ---------------------------------------------------
@@ -544,24 +547,25 @@ def _posterior_sd_with_grad(state, y):
     return mean, sd, dmean, dsd
 
 
-def _multistart_from_scan(objective, bounds, batch_value, spec, streams, sense="max"):
+def _multistart_from_scan(objective, bounds, batch_value, spec, streams):
+    """Maximize ``objective`` from Boltzmann-selected raw candidates."""
     d = len(bounds)
     cands = _scale_to_box(streams.x_stream.take(spec.raw_count(d)), bounds)
-    vals = batch_value(cands)
-    vals = vals if sense == "max" else -vals
     starts = boltzmann_restarts(
-        cands, vals, RestartPlan(len(cands), spec.n_restarts), streams.restart_seed
+        cands, batch_value(cands), RestartPlan(len(cands), spec.n_restarts),
+        streams.restart_seed,
     )
-    return multistart_qn(BoundedObjective(d, bounds, objective, sense=sense), starts)
+    return multistart_qn(BoundedObjective(d, bounds, objective, sense="max"), starts)
 
 
-def hc_next(state, history, spec, bounds, c, streams):
+def hc_next(ctx: AcqContext):
     """Four-rule cascade: feasibility probability when nothing feasible has
     been seen yet, otherwise limit-state spread, tunneling, then maximal
     variance -- accepting the first proposal far enough from every sample."""
-    bounds = np.asarray(bounds, float)
+    state, spec, streams = ctx.state, ctx.spec, ctx.streams
+    bounds, c = ctx.problem.bounds, ctx.problem.c
     d = bounds.shape[0]
-    Y, v = np.atleast_2d(history[0]), np.asarray(history[1], float)
+    Y, v = np.atleast_2d(ctx.Y), np.asarray(ctx.v, float)
     diag_len = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
     eps_s = spec.eps_s if spec.eps_s is not None else 0.01 * diag_len
     delta_band = spec.delta_band if spec.delta_band is not None else 10.0
@@ -682,10 +686,10 @@ def _ef_band_grad(t, kappa):
     return -(2.0 * Phi(t) - Phi(t - kappa) - Phi(t + kappa))
 
 
-def egra_next(state, spec, bounds, c, streams):
+def egra_next(ctx: AcqContext):
     """Maximize the expected feasibility of the limit-state band."""
-    bounds = np.asarray(bounds, float)
-    d = bounds.shape[0]
+    state, spec = ctx.state, ctx.spec
+    bounds, c = ctx.problem.bounds, ctx.problem.c
     kappa = spec.kappa
 
     def objective(y):
@@ -701,7 +705,7 @@ def egra_next(state, spec, bounds, c, streams):
         sd = np.sqrt(np.maximum(var, NUGGET * state.transforms.output_std**2))
         return expected_feasibility(mean, sd, c, kappa)
 
-    y_next, val, _ = _multistart_from_scan(objective, bounds, batch, spec, streams)
+    y_next, val, _ = _multistart_from_scan(objective, bounds, batch, spec, ctx.streams)
     return y_next, AcqDiagnostics(value=float(val), rule="egra")
 
 
@@ -715,9 +719,10 @@ def expected_improvement(mean, sd, incumbent):
     return (incumbent - mean) * std_normal_cdf(u) + sd * std_normal_pdf(u)
 
 
-def ei_next(state, history, spec, bounds, streams):
-    bounds = np.asarray(bounds, float)
-    incumbent = float(np.min(np.asarray(history[1], float)))
+def ei_next(ctx: AcqContext):
+    """Maximize the expected improvement below the best observed value."""
+    state, bounds = ctx.state, ctx.problem.bounds
+    incumbent = float(np.min(np.asarray(ctx.v, float)))
 
     def objective(y):
         mean, sd, dmean, dsd = _posterior_sd_with_grad(state, y)
@@ -731,12 +736,14 @@ def ei_next(state, history, spec, bounds, streams):
         sd = np.sqrt(np.maximum(var, NUGGET * state.transforms.output_std**2))
         return expected_improvement(mean, sd, incumbent)
 
-    y_next, val, _ = _multistart_from_scan(objective, bounds, batch, spec, streams)
+    y_next, val, _ = _multistart_from_scan(objective, bounds, batch, ctx.spec, ctx.streams)
     return y_next, AcqDiagnostics(value=float(val), rule="ei")
 
 
-def sobol_next(stream: SobolStream, bounds):
-    """Space-filling baseline: the next point of a per-run scrambled stream."""
-    bounds = np.asarray(bounds, float)
-    y = _scale_to_box(stream.take(1)[0], bounds)
-    return y, AcqDiagnostics(rule="sobol")
+def sobol_next(ctx: AcqContext):
+    """Space-filling baseline: the next point of the run's scrambled
+    sequence, one point per observation after the initial design."""
+    problem = ctx.problem
+    stream = SobolStream(problem.dim, scramble_seed=ctx.sobol_seed)
+    stream.skip(len(ctx.v) - problem.n_0)
+    return _scale_to_box(stream.take(1)[0], problem.bounds), AcqDiagnostics(rule="sobol")

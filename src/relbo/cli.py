@@ -7,6 +7,7 @@ import argparse
 import json
 import logging
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +25,8 @@ def _cmd_run(args):
     if args.seed is not None:
         config.base_seed = args.seed
     if args.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .harness import run_bo
-
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            futures = {
-                pool.submit(run_bo, config, r): r for r in range(config.repeats)
-            }
-            failures = []
-            for fut, r in futures.items():
-                try:
-                    fut.result()
-                except Exception as err:  # noqa: BLE001
-                    print(f"repeat {r} failed: {err}", file=sys.stderr)
-                    failures.append(r)
-        # Re-run sequentially only to produce the manifest (completed traces
-        # are detected and skipped).
-        manifest = run_experiment(config)
+            manifest = run_experiment(config, executor=pool)
     else:
         manifest = run_experiment(config)
     print(json.dumps({k: v for k, v in manifest.items() if k != "config"}, indent=2))

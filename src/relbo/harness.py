@@ -9,25 +9,16 @@ import configparser
 import hashlib
 import json
 import logging
+import os
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .acquisition import (
-    AcquisitionSpec,
-    IterationStreams,
-    egra_next,
-    ei_next,
-    hc_next,
-    kg_discrete_next,
-    kg_oneshot_next,
-    sobol_next,
-    ts_mr_next,
-)
+from .acquisition import AcqContext, AcquisitionSpec, IterationStreams, next_point
 from .numerics import SobolStream
 from .optimizers import BoundedObjective, RestartPlan, boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
@@ -338,22 +329,40 @@ class TraceWriter:
 
 
 def read_trace(path):
-    """Parse a trace CSV into a list of row dicts (floats where numeric)."""
+    """Parse a trace CSV into (header, list of row dicts), floats where numeric.
+
+    Only complete rows are read: newline-terminated, with one cell per
+    column. A row torn by a crash mid-write, and anything after it, is left
+    out.
+    """
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            row = {}
-            for key, cell in zip(header, cells):
-                if key in ("repeat", "n"):
-                    row[key] = int(cell)
-                elif key in ("phase", "rule"):
-                    row[key] = cell
-                else:
-                    row[key] = float(cell) if cell else None
-            rows.append(row)
+        lines = fh.read().split("\n")
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:-1]:  # lines[-1] follows the last newline
+        cells = line.split(",")
+        if len(cells) != len(header):
+            break
+        row = {}
+        for key, cell in zip(header, cells):
+            if key in ("repeat", "n"):
+                row[key] = int(cell)
+            elif key in ("phase", "rule"):
+                row[key] = cell
+            else:
+                row[key] = float(cell) if cell else None
+        rows.append(row)
     return header, rows
+
+
+def _truncate_after(path, n_rows):
+    """Cut the file at ``path`` after its header and first ``n_rows`` rows."""
+    data = Path(path).read_bytes()
+    end = -1
+    for _ in range(n_rows + 1):
+        end = data.index(b"\n", end + 1)
+    with open(path, "r+b") as fh:
+        fh.truncate(end + 1)
 
 
 def trace_is_complete(path) -> bool:
@@ -367,17 +376,6 @@ def trace_is_complete(path) -> bool:
 # -- the BO loop -----------------------------------------------------------
 
 
-_STRATEGY_LABELS = {
-    "ts_mr": "ts_mr",
-    "kg_mr_discrete": "kg_mr_discrete",
-    "kg_mr_oneshot": "kg_mr_oneshot",
-    "hc": "hc",
-    "egra": "egra",
-    "ei": "ei",
-    "sobol": "sobol",
-}
-
-
 def _trace_path(config: ExperimentConfig, repeat_index: int) -> Path:
     return config.out_dir / f"trace_{config.hash()}_r{repeat_index}.csv"
 
@@ -386,7 +384,8 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
     """One optimization run: fit, select, evaluate, recommend, score, trace.
 
     If an incomplete trace exists for this repeat, the run resumes after the
-    last complete record by replaying the stored observations.
+    last complete record by replaying the stored observations; a row torn
+    by a crash mid-write is cut off first.
     """
     problem = get_problem(config.problem, config.mode)
     spec = config.acquisition
@@ -401,31 +400,20 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
         trace_path = _trace_path(config, repeat_index)
     writer = TraceWriter(trace_path, d)
 
-    resumed_rows = []
-    if Path(trace_path).exists():
-        if trace_is_complete(trace_path):
-            return Path(trace_path)
-        _, resumed_rows = read_trace(trace_path)
-        resumed_rows = [r for r in resumed_rows if r["phase"] in ("init", "iter")]
-
-    if resumed_rows:
+    resumed_rows = read_trace(trace_path)[1] if Path(trace_path).exists() else []
+    if resumed_rows and resumed_rows[-1]["phase"] == "done":
+        return Path(trace_path)
+    if len(resumed_rows) >= problem.n_0:
+        _truncate_after(trace_path, len(resumed_rows))
         Y = np.array([[r[f"y_{j + 1}"] for j in range(d)] for r in resumed_rows])
         v = np.array([r["v"] for r in resumed_rows])
-        if len(Y) < problem.n_0:
-            # Partial initial design: simplest correct restart is from scratch.
-            resumed_rows = []
-    if not resumed_rows:
+    else:  # no trace or a partial initial design: start from scratch
         writer.start()
         Y, v = initial_design(problem, _child_seed(seed, "design"))
         for i in range(problem.n_0):
             writer.append(repeat_index, i + 1, "init", y=Y[i], v=v[i])
 
-    sobol_stream = None
-    if spec.kind == "sobol":
-        sobol_stream = SobolStream(d, scramble_seed=_child_seed(seed, "sobol"))
-        if len(v) > problem.n_0:  # resumed run: skip already-consumed points
-            sobol_stream.take(len(v) - problem.n_0)
-
+    sobol_seed = _child_seed(seed, "sobol")
     warm = None
     for n in range(len(v), config.n_tot):
         t0 = time.monotonic()
@@ -434,22 +422,9 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
         )
         warm = state.hyperparams
         streams = IterationStreams.from_seed(_child_seed(seed, "acq", n), d)
-        if spec.kind == "ts_mr":
-            y_next, diag = ts_mr_next(state, problem, spec, streams)
-        elif spec.kind == "kg_mr_discrete":
-            y_next, diag = kg_discrete_next(state, problem, spec, streams)
-        elif spec.kind == "kg_mr_oneshot":
-            y_next, diag = kg_oneshot_next(state, problem, spec, streams)
-        elif spec.kind == "hc":
-            y_next, diag = hc_next(state, (Y, v), spec, problem.bounds, problem.c, streams)
-        elif spec.kind == "egra":
-            y_next, diag = egra_next(state, spec, problem.bounds, problem.c, streams)
-        elif spec.kind == "ei":
-            y_next, diag = ei_next(state, (Y, v), spec, problem.bounds, streams)
-        elif spec.kind == "sobol":
-            y_next, diag = sobol_next(sobol_stream, problem.bounds)
-        else:  # pragma: no cover - guarded by AcquisitionSpec
-            raise ValueError(spec.kind)
+        y_next, diag = next_point(
+            AcqContext(state, problem, spec, streams, Y, v, sobol_seed)
+        )
         v_next = float(problem.evaluate(y_next[None, :])[0])
         Y = np.vstack([Y, y_next[None, :]])
         v = np.append(v, v_next)
@@ -528,14 +503,17 @@ def environment_fingerprint() -> dict:
     }
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Run all repeats sequentially and write a manifest describing them.
+def run_experiment(config: ExperimentConfig, executor=None) -> dict:
+    """Run all repeats and write a manifest describing them.
 
-    Complete traces already on disk are reused as they are, so the manifest's
-    ``environment`` block names the platform every listed trace was made on:
-    this process's ``environment_fingerprint()`` for traces made here, the
-    previous manifest's block for traces reused. When those differ, or a reused
-    trace has no recorded platform, the block is left out. It stays out of the
+    Repeats run one after another, or on ``executor`` (a
+    ``concurrent.futures`` executor) when one is given; a repeat that raises
+    is recorded as failed. Complete traces already on disk are reused as
+    they are, so the manifest's ``environment`` block names the platform
+    every listed trace was made on: this process's
+    ``environment_fingerprint()`` for traces made here, the previous
+    manifest's block for traces reused. When those differ, or a reused trace
+    has no recorded platform, the block is left out. It stays out of the
     config hash, the trace names and the trace bytes.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -544,24 +522,29 @@ def run_experiment(config: ExperimentConfig) -> dict:
     previous = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     before = previous.get("environment")
     listed = {e["sha256"] for e in previous.get("repeats", {}).values() if e.get("sha256")}
+    origins = {}  # the platforms each repeat's trace is made on
+    for r in range(config.repeats):
+        existing = _trace_path(config, r)
+        if not existing.exists():
+            origins[r] = [here]
+        elif trace_is_complete(existing):
+            # Reused as is: only the previous manifest can say where it was made.
+            digest = hashlib.sha256(existing.read_bytes()).hexdigest()
+            origins[r] = [before if digest in listed else None]
+        else:  # resumed: the prefix is credited to the previous manifest's platform
+            origins[r] = [before, here]
+    futures = {}
+    if executor is not None:
+        futures = {r: executor.submit(run_bo, config, r) for r in range(config.repeats)}
     statuses = {}
     traces = {}
     made_on = []  # the platforms the listed traces were made on
     for r in range(config.repeats):
-        existing = _trace_path(config, r)
-        if not existing.exists():
-            origin = [here]
-        elif trace_is_complete(existing):
-            # Reused as is: only the previous manifest can say where it was made.
-            digest = hashlib.sha256(existing.read_bytes()).hexdigest()
-            origin = [before if digest in listed else None]
-        else:  # resumed: the prefix is credited to the previous manifest's platform
-            origin = [before, here]
         try:
-            path = run_bo(config, r)
+            path = futures[r].result() if futures else run_bo(config, r)
             statuses[r] = "ok"
             traces[r] = str(path)
-            made_on += origin
+            made_on += origins[r]
         except Exception as err:  # noqa: BLE001 - record and continue
             log.exception("repeat %d failed", r)
             statuses[r] = f"failed: {err}"
@@ -585,6 +568,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
     if made_on and made_on[0] is not None and all(e == made_on[0] for e in made_on):
         manifest["environment"] = made_on[0]
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    # Written whole or not at all: a crash leaves the previous manifest.
+    tmp = manifest_path.with_suffix(f".{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, manifest_path)
     manifest["manifest_path"] = str(manifest_path)
     return manifest

@@ -48,11 +48,15 @@ class SobolStream:
 
     def clone(self) -> "SobolStream":
         """An independent stream positioned at the same cursor."""
-        other = SobolStream(self.dimension, self.scramble_seed)
-        if self.cursor:
-            other._engine.fast_forward(self.cursor)
-            other.cursor = self.cursor
-        return other
+        return SobolStream(self.dimension, self.scramble_seed).skip(self.cursor)
+
+    def skip(self, count: int) -> "SobolStream":
+        """Advance the cursor by ``count`` points without drawing them; the
+        points taken next are those ``take`` would have returned after them."""
+        if count:
+            self._engine.fast_forward(count)
+            self.cursor += count
+        return self
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` points, shape (count, dimension), in [0, 1)."""
@@ -67,11 +71,6 @@ class SobolStream:
             pts = self._engine.random(count)
         self.cursor += count
         return pts
-
-
-def sobol_points(stream: SobolStream, count: int) -> np.ndarray:
-    """Advance ``stream`` and return the next ``count`` points."""
-    return stream.take(count)
 
 
 def box_muller(uniforms: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ derivative-free rectangle-partitioning search for discontinuous criteria.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

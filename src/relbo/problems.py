@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import SobolStream, sobol_points
+from .numerics import SobolStream
 from .reliability import PerturbationModel
 from .surrogate import GPHyperparams, prior_state
 
@@ -192,7 +192,7 @@ def calibrate_threshold(fn, bounds, target_fraction: float, n_scan: int = 2**16)
     if not 0.0 < target_fraction < 1.0:
         raise ValueError("target_fraction must be in (0, 1)")
     bounds = np.asarray(bounds, float)
-    pts = bounds[:, 0] + sobol_points(SobolStream(len(bounds)), n_scan) * (
+    pts = bounds[:, 0] + SobolStream(len(bounds)).take(n_scan) * (
         bounds[:, 1] - bounds[:, 0]
     )
     vals = np.asarray(fn(pts), float)

@@ -139,11 +139,6 @@ def smooth_feasibility(points, bounds, delta: float) -> np.ndarray:
     return _feasibility_parts(points, bounds, delta, want_grad=False)[0]
 
 
-def smooth_feasibility_with_grad(points, bounds, delta: float):
-    """(iota, diota/dpoint) with shapes (m,), (m, d)."""
-    return _feasibility_parts(points, bounds, delta, want_grad=True)
-
-
 def _feasibility_parts(points, bounds, delta, want_grad):
     P = np.atleast_2d(np.asarray(points, float))
     bounds = np.asarray(bounds, float)
@@ -172,76 +167,46 @@ def _feasibility_parts(points, bounds, delta, want_grad):
     return iota, grad
 
 
-# -- posterior failure probability at a single perturbed point -------------
+# -- the log-space estimator core -----------------------------------------
 
 
-def phi_n(state: SurrogateState, x, u, c: float, perturb: PerturbationModel):
-    """Posterior probability that the perturbed design fails the threshold.
+def log_mean_wj(log_w, log_j, dlog_j=None):
+    """log mean(w * J) over the last (importance-sample) axis, and its gradient.
 
-    Returns (phi, log_phi, log_one_minus_phi, degenerate). At the variance
-    floor the value degenerates to the hard indicator of mean >= c.
+    ``log_j`` has shape (..., n_u) and ``dlog_j``, when given, (..., n_u, k).
+    The gradient is the softmax-weighted mean of d log J, shape (..., k).
+    Where every term underflows the log-mean is -inf and the gradient zero.
+    Returns (log_mean, grad or None).
     """
-    y = perturb.combine(x, u)
-    mean, var = state.posterior(np.atleast_2d(y))
-    log_phi, log_cphi, _, deg = _phi_terms(state, mean, var, c)
-    phi = np.exp(log_phi)
-    if np.ndim(x) == 1 and np.ndim(u) == 1:
-        return float(phi[0]), float(log_phi[0]), float(log_cphi[0]), bool(deg[0])
-    return phi, log_phi, log_cphi, deg
+    terms = log_w + log_j
+    lse = logsumexp(terms, axis=-1)
+    log_mean = lse - np.log(terms.shape[-1])
+    if dlog_j is None:
+        return log_mean, None
+    finite = np.isfinite(log_mean)
+    with np.errstate(invalid="ignore"):
+        soft = np.where(finite[..., None], np.exp(terms - lse[..., None]), 0.0)
+    grad = np.matmul(soft[..., None, :], dlog_j)[..., 0, :]
+    return log_mean, np.where(finite[..., None], grad, 0.0)
 
 
 def _phi_terms(state, mean, var, c):
-    """(log Phi, log(1-Phi), h, degenerate-mask) with the floor fallback."""
+    """(log Phi(h), h, sigma, degenerate-mask) for h = (mean - c)/sigma.
+
+    At the posterior-variance floor the value degenerates to the hard
+    indicator of mean >= c. ``var`` may broadcast against ``mean``.
+    """
     floor = NUGGET * state.transforms.output_std**2
     deg = var <= floor * (1.0 + 1e-6)
     sigma = np.sqrt(np.maximum(var, floor))
     h = (mean - c) / sigma
     log_phi = std_normal_log_cdf(h)
-    log_cphi = std_normal_log_cdf(-h)
     if np.any(deg):
-        hard = (mean >= c).astype(float)
-        log_phi = np.where(deg, np.where(hard > 0, 0.0, -np.inf), log_phi)
-        log_cphi = np.where(deg, np.where(hard > 0, -np.inf, 0.0), log_cphi)
-    return log_phi, log_cphi, h, deg
+        log_phi = np.where(deg, np.where(mean >= c, 0.0, -np.inf), log_phi)
+    return log_phi, h, sigma, deg
 
 
-# -- the smoothed, importance-weighted estimators --------------------------
-
-
-@dataclass(frozen=True)
-class PnEstimate:
-    p: float
-    log_p: float  # -inf when every term underflows
-    r: float  # -log p; +inf sentinel when p == 0
-    grad_log_p: np.ndarray | None  # d log p / d x
-
-    @property
-    def grad_r(self):
-        return None if self.grad_log_p is None else -self.grad_log_p
-
-    @property
-    def grad_p(self):
-        if self.grad_log_p is None:
-            return None
-        return np.exp(self.log_p) * self.grad_log_p
-
-
-def _assemble(log_w, log_j, dlog_j, want_grad):
-    n = len(log_w)
-    terms = log_w + log_j
-    log_p = float(logsumexp(terms) - np.log(n))
-    if not np.isfinite(log_p):
-        log_p = -np.inf
-        grad = np.zeros(dlog_j.shape[1]) if want_grad else None
-        return PnEstimate(0.0, -np.inf, np.inf, grad)
-    grad = None
-    if want_grad:
-        soft = np.exp(terms - logsumexp(terms))
-        grad = soft @ dlog_j
-    return PnEstimate(float(np.exp(log_p)), log_p, -log_p, grad)
-
-
-def _smoothed_log_terms(log_phi, h, iota, want_grad, pdf_log=None, degenerate=None):
+def _smoothed_log_terms(log_phi, h, iota, want_grad, degenerate=None):
     """log J for J = Phi(h)*iota + (1-iota), plus the two gradient ratios.
 
     Returns (log_j, ratio_h, ratio_iota): d log J = ratio_h * dh + ratio_iota
@@ -253,8 +218,7 @@ def _smoothed_log_terms(log_phi, h, iota, want_grad, pdf_log=None, degenerate=No
     log_j = np.logaddexp(log_phi + log_iota, log_ciota)
     if not want_grad:
         return log_j, None, None
-    if pdf_log is None:
-        pdf_log = std_normal_log_pdf(h)
+    pdf_log = std_normal_log_pdf(h)
     with np.errstate(invalid="ignore"):
         ratio_h = np.where(
             np.isfinite(log_phi + log_iota),
@@ -270,6 +234,73 @@ def _smoothed_log_terms(log_phi, h, iota, want_grad, pdf_log=None, degenerate=No
     return log_j, ratio_h, ratio_iota
 
 
+def _gp_log_j(state, pts, bounds, smoothing, c, want_grad):
+    """Per-point log J under the GP posterior marginal, and d log J / d point."""
+    if want_grad:
+        mean, var, dmean, dvar = state.posterior_with_grad(pts)
+    else:
+        mean, var = state.posterior(pts)
+    log_phi, h, sigma, deg = _phi_terms(state, mean, var, c)
+    iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, want_grad)
+    log_j, ratio_h, ratio_iota = _smoothed_log_terms(
+        log_phi, h, iota, want_grad, degenerate=deg
+    )
+    if not want_grad:
+        return log_j, None
+    dsigma = dvar / (2.0 * sigma[:, None])
+    with np.errstate(invalid="ignore"):
+        dh = np.nan_to_num((dmean - h[:, None] * dsigma) / sigma[:, None], nan=0.0)
+    return log_j, ratio_h[:, None] * dh + ratio_iota[:, None] * diota
+
+
+def _rff_log_j(path, pts, bounds, smoothing, c, want_grad):
+    """Per-point log J for a sample path, the threshold smoothed by
+    Phi((path - c) / rho), and d log J / d point."""
+    if want_grad:
+        vals, dvals = path.evaluate_with_grad(pts)
+    else:
+        vals = path.evaluate(pts)
+    h = (vals - c) / smoothing.rho
+    log_phi = std_normal_log_cdf(h)
+    iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, want_grad)
+    log_j, ratio_h, ratio_iota = _smoothed_log_terms(log_phi, h, iota, want_grad)
+    if not want_grad:
+        return log_j, None
+    dh = dvals / smoothing.rho
+    return log_j, ratio_h[:, None] * dh + ratio_iota[:, None] * diota
+
+
+def perturbed_grid(xs, is_sample):
+    """Every design in ``xs`` plus every perturbation, shape (m * n_u, d)."""
+    xs = np.atleast_2d(np.asarray(xs, float))
+    return (xs[:, None, :] + is_sample.points[None, :, :]).reshape(-1, xs.shape[1])
+
+
+# -- the smoothed, importance-weighted estimators --------------------------
+
+
+@dataclass(frozen=True)
+class PnEstimate:
+    p: float
+    log_p: float  # -inf when every term underflows
+    r: float  # -log p; +inf sentinel when p == 0
+    grad_log_p: np.ndarray | None  # d log p / d x
+
+
+def _estimate(log_j_fn, model, x, is_sample, bounds, smoothing, c, want_grad):
+    y_pts = np.asarray(x, float) + is_sample.points
+    log_j, dlog_j = log_j_fn(model, y_pts, bounds, smoothing, c, want_grad)
+    log_p, grad = log_mean_wj(is_sample.log_weights, log_j, dlog_j)
+    log_p = float(log_p) if np.isfinite(log_p) else -np.inf
+    return PnEstimate(float(np.exp(log_p)), log_p, -log_p, grad)
+
+
+def _estimate_batch(log_j_fn, model, xs, is_sample, bounds, smoothing, c):
+    pts = perturbed_grid(xs, is_sample)
+    log_j, _ = log_j_fn(model, pts, bounds, smoothing, c, False)
+    return log_mean_wj(is_sample.log_weights, log_j.reshape(-1, len(is_sample)))[0]
+
+
 def estimate_pn(
     state: SurrogateState,
     x,
@@ -282,28 +313,7 @@ def estimate_pn(
     """Smoothed, importance-weighted qMC estimate of the expected failure
     probability at nominal design ``x``, with the exact gradient of its log.
     """
-    x = np.asarray(x, float)
-    y_pts = x + is_sample.points
-    if want_grad:
-        mean, var, dmean, dvar = state.posterior_with_grad(y_pts)
-    else:
-        mean, var = state.posterior(y_pts)
-        dmean = dvar = None
-    log_phi, _, h, deg = _phi_terms(state, mean, var, c)
-    iota, diota = _feasibility_parts(y_pts, bounds, smoothing.delta, want_grad)
-    log_j, ratio_h, ratio_iota = _smoothed_log_terms(
-        log_phi, h, iota, want_grad, degenerate=deg
-    )
-    if not want_grad:
-        return _assemble(is_sample.log_weights, log_j, None, False)
-    sigma = np.sqrt(np.maximum(var, NUGGET * state.transforms.output_std**2))
-    dsigma = dvar / (2.0 * sigma[:, None])
-    with np.errstate(invalid="ignore"):
-        dh = np.nan_to_num(
-            (dmean - h[:, None] * dsigma) / sigma[:, None], nan=0.0
-        )
-    dlog_j = ratio_h[:, None] * dh + ratio_iota[:, None] * diota
-    return _assemble(is_sample.log_weights, log_j, dlog_j, True)
+    return _estimate(_gp_log_j, state, x, is_sample, bounds, smoothing, c, want_grad)
 
 
 def estimate_ptilde(
@@ -317,21 +327,7 @@ def estimate_ptilde(
 ) -> PnEstimate:
     """Failure probability of a posterior sample path, with the threshold
     indicator smoothed by Phi((path - c) / rho)."""
-    x = np.asarray(x, float)
-    y_pts = x + is_sample.points
-    if want_grad:
-        vals, dvals = path.evaluate_with_grad(y_pts)
-    else:
-        vals, dvals = path.evaluate(y_pts), None
-    h = (vals - c) / smoothing.rho
-    log_phi = std_normal_log_cdf(h)
-    iota, diota = _feasibility_parts(y_pts, bounds, smoothing.delta, want_grad)
-    log_j, ratio_h, ratio_iota = _smoothed_log_terms(log_phi, h, iota, want_grad)
-    if not want_grad:
-        return _assemble(is_sample.log_weights, log_j, None, False)
-    dh = dvals / smoothing.rho
-    dlog_j = ratio_h[:, None] * dh + ratio_iota[:, None] * diota
-    return _assemble(is_sample.log_weights, log_j, dlog_j, True)
+    return _estimate(_rff_log_j, path, x, is_sample, bounds, smoothing, c, want_grad)
 
 
 def estimate_pn_batch(
@@ -346,16 +342,12 @@ def estimate_pn_batch(
 
     Vectorized across candidates; equal to looping :func:`estimate_pn`.
     """
-    xs = np.atleast_2d(np.asarray(xs, float))
-    m, d = xs.shape
-    n_u = len(is_sample)
-    pts = (xs[:, None, :] + is_sample.points[None, :, :]).reshape(m * n_u, d)
-    mean, var = state.posterior(pts)
-    log_phi, _, _, _ = _phi_terms(state, mean, var, c)
-    iota, _ = _feasibility_parts(pts, bounds, smoothing.delta, False)
-    log_j, _, _ = _smoothed_log_terms(log_phi, None, iota, False)
-    terms = (is_sample.log_weights[None, :] + log_j.reshape(m, n_u))
-    return logsumexp(terms, axis=1) - np.log(n_u)
+    return _estimate_batch(_gp_log_j, state, xs, is_sample, bounds, smoothing, c)
+
+
+def estimate_ptilde_batch(path, xs, is_sample, bounds, smoothing, c) -> np.ndarray:
+    """log of the path failure probability at a batch of nominal designs."""
+    return _estimate_batch(_rff_log_j, path, xs, is_sample, bounds, smoothing, c)
 
 
 def evaluate_true_failure(

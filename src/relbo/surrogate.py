@@ -11,7 +11,7 @@ in original units throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -97,11 +97,6 @@ def matern52(A, B, hp: GPHyperparams) -> np.ndarray:
     return hp.output_scale_sq * (1.0 + _SQRT5 * r + 5.0 * r**2 / 3.0) * np.exp(-_SQRT5 * r)
 
 
-def kernel_matern52(a, b, hp: GPHyperparams) -> float:
-    """Scalar kernel value between two points in normalized coordinates."""
-    return float(matern52(np.atleast_2d(a), np.atleast_2d(b), hp)[0, 0])
-
-
 def matern52_grad_a(A, B, hp: GPHyperparams) -> np.ndarray:
     """d k(a_i, b_j) / d a_i, shape (len(A), len(B), d).
 
@@ -153,10 +148,6 @@ class SurrogateState:
     @property
     def dim(self) -> int:
         return len(self.transforms.input_lo)
-
-    @property
-    def noise_std_orig(self) -> float:
-        return np.sqrt(self.hyperparams.noise_variance) * self.transforms.output_std
 
     # -- posterior ---------------------------------------------------------
 

@@ -28,6 +28,7 @@ from conftest import fd_gradient_error
 from test_numerics import log_phi_asymptotic
 
 from relbo.acquisition import (
+    AcqContext,
     AcquisitionSpec,
     IterationStreams,
     _FantasyScan,
@@ -241,9 +242,14 @@ def test_criterion_05_kg_nonnegative(branin_state, branin_problem):
     evaluations = len(vals)
     assert np.all(vals >= -1e-2)
 
-    _, d_disc = kg_discrete_next(branin_state, prob, spec, IterationStreams.from_seed(23, 2))
+    history = (branin_state.train_inputs, branin_state.train_targets)
+    _, d_disc = kg_discrete_next(
+        AcqContext(branin_state, prob, spec, IterationStreams.from_seed(23, 2), *history)
+    )
     oneshot_spec = AcquisitionSpec("kg_mr_oneshot", n_u=32, n_v=4, n_x=128, n_raw=16, n_restarts=2)
-    _, d_os = kg_oneshot_next(branin_state, prob, oneshot_spec, IterationStreams.from_seed(24, 2))
+    _, d_os = kg_oneshot_next(
+        AcqContext(branin_state, prob, oneshot_spec, IterationStreams.from_seed(24, 2), *history)
+    )
     for d in (d_disc, d_os):
         assert d.value >= -1e-2
         evaluations += 1
@@ -282,7 +288,7 @@ def pn_terms(state, x, sample, bounds, smoothing, c):
     from relbo.reliability import _feasibility_parts, _phi_terms, _smoothed_log_terms
 
     mean_b, var_b = state.posterior(x + sample.points)
-    log_phi, _, h, deg = _phi_terms(state, mean_b, var_b, c)
+    log_phi, h, _, deg = _phi_terms(state, mean_b, var_b, c)
     iota, _ = _feasibility_parts(x + sample.points, bounds, smoothing.delta, False)
     log_j, _, _ = _smoothed_log_terms(log_phi, h, iota, False, degenerate=deg)
     return np.exp(sample.log_weights + log_j)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import fd_gradient_error
 from relbo.acquisition import (
+    AcqContext,
     AcquisitionSpec,
     IterationStreams,
     _FantasyScan,
@@ -25,7 +26,7 @@ from relbo.acquisition import (
     ts_mr_next,
 )
 from relbo.numerics import SobolStream, gaussian_qmc
-from relbo.problems import get_problem, make_gp_problem
+from relbo.problems import Problem, get_problem, make_gp_problem
 from relbo.reliability import (
     PerturbationModel,
     SmoothingConfig,
@@ -44,6 +45,25 @@ def small_spec(kind, **overrides):
 
 def u_stream(d, seed=0):
     return SobolStream(2 * ((d + 1) // 2), scramble_seed=seed)
+
+
+def context(state, problem, spec, seed, history=None, sobol_seed=0):
+    """A strategy's input: ``history`` defaults to the state's training data."""
+    Y, v = history if history is not None else (state.train_inputs, state.train_targets)
+    streams = IterationStreams.from_seed(seed, problem.dim)
+    return AcqContext(state, problem, spec, streams, Y, v, sobol_seed)
+
+
+def box_problem(bounds, c=0.0, n_0=2):
+    """A problem on ``bounds`` with threshold ``c``; strategies never call
+    its function."""
+    bounds = np.asarray(bounds, float)
+    diag = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
+    return Problem(
+        "box", len(bounds), bounds, c, PerturbationModel(np.full(len(bounds), 0.05)),
+        n_0=n_0, eps_s=0.01 * diag, delta_band=10.0, mode="extreme",
+        _fn=lambda Y: np.sum(Y, axis=1),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -91,15 +111,15 @@ class TestSpecAndStreams:
 class TestThompson:
     def test_returns_point_in_box(self, branin_state, branin_problem):
         spec = small_spec("ts_mr")
-        y, diag = ts_mr_next(branin_state, branin_problem, spec, IterationStreams.from_seed(0, 2))
+        y, diag = ts_mr_next(context(branin_state, branin_problem, spec, 0))
         assert np.all(y >= branin_problem.bounds[:, 0])
         assert np.all(y <= branin_problem.bounds[:, 1])
         assert diag.nominal is not None and diag.perturbation is not None
 
     def test_bit_identical_across_invocations(self, branin_state, branin_problem):
         spec = small_spec("ts_mr")
-        y1, _ = ts_mr_next(branin_state, branin_problem, spec, IterationStreams.from_seed(3, 2))
-        y2, _ = ts_mr_next(branin_state, branin_problem, spec, IterationStreams.from_seed(3, 2))
+        y1, _ = ts_mr_next(context(branin_state, branin_problem, spec, 3))
+        y2, _ = ts_mr_next(context(branin_state, branin_problem, spec, 3))
         np.testing.assert_array_equal(y1, y2)
 
     def test_constant_mean_at_threshold_selects_zero_perturbation(self):
@@ -109,7 +129,7 @@ class TestThompson:
         hp = GPHyperparams(1.0, np.array([0.3, 0.3]), 0.0)
         state = prior_state(hp, prob.bounds, output_mean=prob.c, output_std=1.0)
         spec = small_spec("ts_mr")
-        y, diag = ts_mr_next(state, prob, spec, IterationStreams.from_seed(4, 2))
+        y, diag = ts_mr_next(context(state, prob, spec, 4))
         assert np.linalg.norm(diag.perturbation) < 1e-4
         np.testing.assert_allclose(y, diag.nominal, atol=1e-4)
 
@@ -122,7 +142,7 @@ class TestThompson:
         close = 0
         trials = 50
         for seed in range(trials):
-            y, diag = ts_mr_next(state, prob, spec, IterationStreams.from_seed(seed, 2))
+            y, diag = ts_mr_next(context(state, prob, spec, seed))
             if np.linalg.norm(y - diag.nominal) <= 3 * sigma * np.sqrt(2):
                 close += 1
         assert close >= 0.8 * trials
@@ -188,12 +208,8 @@ class TestDiscreteKG:
 
     def test_next_point_in_box_and_deterministic(self, branin_state, branin_problem):
         spec = small_spec("kg_mr_discrete")
-        y1, d1 = kg_discrete_next(
-            branin_state, branin_problem, spec, IterationStreams.from_seed(7, 2)
-        )
-        y2, d2 = kg_discrete_next(
-            branin_state, branin_problem, spec, IterationStreams.from_seed(7, 2)
-        )
+        y1, d1 = kg_discrete_next(context(branin_state, branin_problem, spec, 7))
+        y2, d2 = kg_discrete_next(context(branin_state, branin_problem, spec, 7))
         np.testing.assert_array_equal(y1, y2)
         assert d1.value == d2.value
         assert np.all(y1 >= branin_problem.bounds[:, 0])
@@ -272,12 +288,8 @@ class TestOneShotKG:
 
     def test_next_point_in_box_and_deterministic(self, branin_state, branin_problem):
         spec = small_spec("kg_mr_oneshot", n_v=4, n_raw=16, n_restarts=2)
-        y1, d1 = kg_oneshot_next(
-            branin_state, branin_problem, spec, IterationStreams.from_seed(9, 2)
-        )
-        y2, d2 = kg_oneshot_next(
-            branin_state, branin_problem, spec, IterationStreams.from_seed(9, 2)
-        )
+        y1, d1 = kg_oneshot_next(context(branin_state, branin_problem, spec, 9))
+        y2, d2 = kg_oneshot_next(context(branin_state, branin_problem, spec, 9))
         np.testing.assert_array_equal(y1, y2)
         assert np.all(y1 >= branin_problem.bounds[:, 0])
         assert np.all(y1 <= branin_problem.bounds[:, 1])
@@ -294,10 +306,7 @@ class TestCascade:
     def test_feasibility_rule_when_nothing_feasible(self, branin_state, branin_problem):
         spec = small_spec("hc", eps_s=branin_problem.eps_s, delta_band=10.0)
         history = (branin_state.train_inputs, np.full(branin_state.n, 1e6))
-        y, diag = hc_next(
-            branin_state, history, spec, branin_problem.bounds, branin_problem.c,
-            IterationStreams.from_seed(1, 2),
-        )
+        y, diag = hc_next(context(branin_state, branin_problem, spec, 1, history))
         assert diag.rule == "F"
         assert np.all(y >= branin_problem.bounds[:, 0])
         assert np.all(y <= branin_problem.bounds[:, 1])
@@ -311,8 +320,7 @@ class TestCascade:
         state = fit_1d(xs, vs)
         spec = small_spec("hc", eps_s=0.01, delta_band=10.0)
         y, diag = hc_next(
-            state, (xs[:, None], vs), spec, np.array([[0.0, 1.0]]), c,
-            IterationStreams.from_seed(2, 1),
+            context(state, box_problem([[0.0, 1.0]], c), spec, 2, (xs[:, None], vs))
         )
         assert diag.rule == "LS"
         # Grid-scan oracle of the same criterion.
@@ -332,8 +340,7 @@ class TestCascade:
         c = 5.2  # 0.2 is feasible; band half-width is tiny
         spec = small_spec("hc", eps_s=0.01, delta_band=1e-6)
         y, diag = hc_next(
-            state, (xs[:, None], vs), spec, np.array([[0.0, 1.0]]), c,
-            IterationStreams.from_seed(3, 1),
+            context(state, box_problem([[0.0, 1.0]], c), spec, 3, (xs[:, None], vs))
         )
         assert diag.rule in ("TN", "MV")
 
@@ -344,8 +351,7 @@ class TestCascade:
         spec = small_spec("hc", eps_s=10.0, delta_band=1e-9)  # nothing can separate
         with caplog.at_level(logging.WARNING, logger="relbo.acquisition"):
             _, diag = hc_next(
-                state, (xs[:, None], vs), spec, np.array([[0.0, 1.0]]), 0.0,
-                IterationStreams.from_seed(4, 1),
+                context(state, box_problem([[0.0, 1.0]], 0.0), spec, 4, (xs[:, None], vs))
             )
         assert diag.rule == "MV"
         assert any("eps_s" in r.message for r in caplog.records)
@@ -376,10 +382,7 @@ class TestEgra:
 
     def test_next_point_in_box(self, branin_state, branin_problem):
         spec = small_spec("egra")
-        y, diag = egra_next(
-            branin_state, spec, branin_problem.bounds, branin_problem.c,
-            IterationStreams.from_seed(6, 2),
-        )
+        y, diag = egra_next(context(branin_state, branin_problem, spec, 6))
         assert np.all(y >= branin_problem.bounds[:, 0])
         assert np.all(y <= branin_problem.bounds[:, 1])
         assert diag.value >= 0.0
@@ -412,20 +415,21 @@ class TestBaselines:
 
     def test_ei_next_in_box(self, branin_state, branin_problem):
         spec = small_spec("ei")
-        history = (branin_state.train_inputs, branin_state.train_targets)
-        y, _ = ei_next(
-            branin_state, history, spec, branin_problem.bounds,
-            IterationStreams.from_seed(8, 2),
-        )
+        y, _ = ei_next(context(branin_state, branin_problem, spec, 8))
         assert np.all(y >= branin_problem.bounds[:, 0])
         assert np.all(y <= branin_problem.bounds[:, 1])
 
-    def test_sobol_sequence_deterministic(self):
+    def test_sobol_sequence_deterministic(self, branin_state):
+        # Observation k after the initial design gets point k of the run's
+        # scrambled sequence, whatever ran before (a resumed run included).
         bounds = np.array([[0.0, 2.0], [-1.0, 1.0]])
-        a = SobolStream(2, scramble_seed=5)
-        b = SobolStream(2, scramble_seed=5)
-        ya = [sobol_next(a, bounds)[0] for _ in range(5)]
-        yb = [sobol_next(b, bounds)[0] for _ in range(5)]
-        np.testing.assert_array_equal(np.array(ya), np.array(yb))
-        for y in ya:
-            assert np.all(y >= bounds[:, 0]) and np.all(y <= bounds[:, 1])
+        prob = box_problem(bounds, n_0=3)
+        spec = small_spec("sobol")
+        stream = SobolStream(2, scramble_seed=5)
+        for k in range(5):
+            history = (np.zeros((3 + k, 2)), np.zeros(3 + k))
+            ya, _ = sobol_next(context(branin_state, prob, spec, k, history, sobol_seed=5))
+            yb, _ = sobol_next(context(branin_state, prob, spec, 9, history, sobol_seed=5))
+            np.testing.assert_array_equal(ya, yb)
+            np.testing.assert_array_equal(ya, bounds[:, 0] + stream.take(1)[0] * 2.0)
+            assert np.all(ya >= bounds[:, 0]) and np.all(ya <= bounds[:, 1])

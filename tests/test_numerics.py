@@ -13,7 +13,6 @@ from relbo.numerics import (
     box_muller,
     gaussian_qmc,
     regularized_lower_gamma,
-    sobol_points,
     std_normal_cdf,
     std_normal_log_cdf,
     std_normal_log_pdf,
@@ -64,10 +63,13 @@ class TestSobolStream:
         with pytest.raises(ValueError):
             SobolStream(2).take(0)
 
-    def test_sobol_points_advances_cursor(self):
-        s = SobolStream(2)
-        sobol_points(s, 4)
-        assert s.cursor == 4
+    def test_skip_advances_cursor_like_take(self):
+        a = SobolStream(2, scramble_seed=3)
+        b = SobolStream(2, scramble_seed=3)
+        a.take(5)
+        b.skip(5)
+        assert b.cursor == a.cursor == 5
+        np.testing.assert_array_equal(a.take(3), b.take(3))
 
 
 class TestBoxMuller:

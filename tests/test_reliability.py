@@ -19,9 +19,10 @@ from relbo.reliability import (
     estimate_pn_batch,
     estimate_ptilde,
     evaluate_true_failure,
-    phi_n,
+    _feasibility_parts,
+    _phi_terms,
+    _smoothed_log_terms,
     smooth_feasibility,
-    smooth_feasibility_with_grad,
 )
 from relbo.surrogate import GPHyperparams, prior_state
 
@@ -123,7 +124,7 @@ class TestSmoothFeasibility:
         delta = 0.15
         for _ in range(20):
             x = rng.uniform(0.01, 0.99, size=2)
-            _, grad = smooth_feasibility_with_grad(x[None, :], UNIT_BOX, delta)
+            _, grad = _feasibility_parts(x[None, :], UNIT_BOX, delta, want_grad=True)
             err = fd_gradient_error(
                 lambda p: smooth_feasibility(p[None, :], UNIT_BOX, delta)[0],
                 x,
@@ -143,23 +144,27 @@ def flat_state(mean_value, sd=1.0, bounds=UNIT_BOX):
     return prior_state(hp, bounds, output_mean=mean_value, output_std=sd)
 
 
+def log_phi_at(state, y, c):
+    """(log Phi, degenerate) of the posterior failure probability at ``y``."""
+    mean, var = state.posterior(np.atleast_2d(y))
+    log_phi, _, _, deg = _phi_terms(state, mean, var, c)
+    return float(log_phi[0]), bool(deg[0])
+
+
 class TestPhiN:
     def test_mean_at_threshold(self):
         state = flat_state(2.0)
-        model = PerturbationModel(np.array([0.1, 0.1]))
-        p, _, _, deg = phi_n(state, np.array([0.5, 0.5]), np.zeros(2), 2.0, model)
-        assert abs(p - 0.5) < 1e-12 and not deg
+        log_p, deg = log_phi_at(state, np.array([0.5, 0.5]), 2.0)
+        assert abs(np.exp(log_p) - 0.5) < 1e-12 and not deg
 
     def test_mean_one_sigma_above(self):
         state = flat_state(3.0, sd=1.0)
-        model = PerturbationModel(np.array([0.1, 0.1]))
-        p, _, _, _ = phi_n(state, np.array([0.5, 0.5]), np.zeros(2), 2.0, model)
-        assert abs(p - 0.8413447) < 1e-7
+        log_p, _ = log_phi_at(state, np.array([0.5, 0.5]), 2.0)
+        assert abs(np.exp(log_p) - 0.8413447) < 1e-7
 
     def test_deep_tail_log_finite(self):
         state = flat_state(0.0, sd=1.0)
-        model = PerturbationModel(np.array([0.1, 0.1]))
-        _, log_p, _, _ = phi_n(state, np.array([0.5, 0.5]), np.zeros(2), 30.0, model)
+        log_p, _ = log_phi_at(state, np.array([0.5, 0.5]), 30.0)
         assert np.isfinite(log_p)
         assert abs(log_p - (-454.32)) < 0.01
 
@@ -261,9 +266,7 @@ class TestEstimatePn:
             )
             # Empirical standard error of the weighted mean of J-terms.
             mean_b, var_b = quadratic_state.posterior(x + sample.points)
-            from relbo.reliability import _phi_terms, _feasibility_parts, _smoothed_log_terms
-
-            log_phi, _, h, deg = _phi_terms(quadratic_state, mean_b, var_b, prob.c)
+            log_phi, h, _, deg = _phi_terms(quadratic_state, mean_b, var_b, prob.c)
             iota, _ = _feasibility_parts(x + sample.points, prob.bounds, smoothing.delta, False)
             log_j, _, _ = _smoothed_log_terms(log_phi, h, iota, False, degenerate=deg)
             terms = np.exp(sample.log_weights + log_j)
