@@ -257,7 +257,9 @@ def kg_discrete_value(
     """
     smoothing = SmoothingConfig(0.0, spec.rho)
     if baseline is None:
-        baseline = _kg_baseline(state, x_disc, is_sample, bounds, smoothing, c, spec.use_log)
+        baseline = float(
+            np.max(_grid_values(state, x_disc, is_sample, bounds, smoothing, c, spec.use_log))
+        )
     total = 0.0
     for z in z_sample:
         fant = state.fantasize(y, float(z))
@@ -269,11 +271,11 @@ def kg_discrete_value(
     return total / len(z_sample) - baseline
 
 
-def _kg_baseline(state, x_disc, is_sample, bounds, smoothing, c, use_log):
-    """The best current value over the design grid: the term the knowledge
-    gradient subtracts, taken under the smoothing its maximization uses."""
+def _grid_values(state, x_disc, is_sample, bounds, smoothing, c, use_log):
+    """The current value of every grid design; their maximum is the term the
+    knowledge gradient subtracts."""
     base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, smoothing, c)
-    return float(np.max(_value_from_log_p(base_log, use_log)))
+    return _value_from_log_p(base_log, use_log)
 
 
 class _FantasyScan:
@@ -308,9 +310,9 @@ class _FantasyScan:
         # delta = 0: hard interior indicator; outside points contribute J = 1.
         iota, _ = _feasibility_parts(pts, self.bounds, 0.0, False)
         self.inside = iota > 0.0
-        self.baseline = _kg_baseline(
-            state, self.x_disc, is_sample, bounds, SmoothingConfig(0.0, spec.rho), c,
-            spec.use_log,
+        hard = SmoothingConfig(0.0, spec.rho)
+        self.baseline = float(
+            np.max(_grid_values(state, self.x_disc, is_sample, bounds, hard, c, spec.use_log))
         )
 
     def _cross_cov(self, y):
@@ -526,14 +528,27 @@ def kg_oneshot_next(ctx: AcqContext):
             spec.use_log,
         )
 
-    joint_best, best_val, _ = multistart_qn(
+    joint_best, _, _ = multistart_qn(
         BoundedObjective(len(joint_bounds), joint_bounds, objective, sense="max"),
         starts,
         max_iters=100,
     )
-    return joint_best[:d], AcqDiagnostics(
-        value=float(best_val - scan.baseline), rule="kg_mr_oneshot"
+    # The gain is measured against the grid's best value under the smoothing
+    # the joint objective is maximized under. Each fantasy keeps the better of
+    # its optimized design and that best grid design, so an inner maximization
+    # that stopped short cannot report less than keeping the current best.
+    values = _grid_values(
+        state, scan.x_disc, scan.is_sample, bounds, smoothing, problem.c, spec.use_log
     )
+    y_next, xs = joint_best[:d], joint_best[d:].reshape(spec.n_v, d)
+    keep = np.repeat(scan.x_disc[np.argmax(values)][None, :], spec.n_v, axis=0)
+    log_p, _, _ = _fantasy_pn_with_grads(
+        state, y_next, np.concatenate([scan.z, scan.z]), np.vstack([xs, keep]),
+        scan.is_sample, bounds, smoothing, problem.c,
+    )
+    per_fantasy = _value_from_log_p(log_p, spec.use_log).reshape(2, spec.n_v)
+    gain = float(np.mean(np.max(per_fantasy, axis=0)) - np.max(values))
+    return y_next, AcqDiagnostics(value=gain, rule="kg_mr_oneshot")
 
 
 # -- limit-state cascade ---------------------------------------------------

@@ -25,6 +25,7 @@ from relbo.acquisition import (
     sobol_next,
     ts_mr_next,
 )
+from relbo.harness import _child_seed, initial_design
 from relbo.numerics import SobolStream, gaussian_qmc
 from relbo.problems import Problem, get_problem, make_gp_problem
 from relbo.reliability import (
@@ -285,6 +286,26 @@ class TestOneShotKG:
         # A zero fantasy draw leaves the mean unchanged but still shrinks the
         # variance, so the value is only non-negative up to discretization.
         assert np.all(vals >= -1e-2)
+
+    def test_gain_nonnegative_when_inner_search_stops_short(self, branin_problem):
+        # The kg-branin benchmark fixture at seed 3, operation 1, with one
+        # restart: 30 observations and the streams run_bo derives for them.
+        # The joint search ends below the best grid design's value under the
+        # smoothed box indicator; the hard-indicator baseline made this -0.16.
+        prob = branin_problem
+        design_seed, fill_seed, base_seed = 1308534968, 677816824, 2133761440
+        Y, v = initial_design(prob, design_seed)
+        fill = prob.bounds[:, 0] + SobolStream(2, scramble_seed=fill_seed).take(
+            30 - prob.n_0
+        ) * (prob.bounds[:, 1] - prob.bounds[:, 0])
+        Y, v = np.vstack([Y, fill]), np.append(v, prob.evaluate(fill))
+        state = fit_map(Y, v, bounds=prob.bounds, seed=_child_seed(base_seed, "fit", 30))
+        spec = AcquisitionSpec(
+            "kg_mr_oneshot", n_u=64, n_v=32, n_x=512, n_raw=64, n_restarts=1
+        )
+        streams = IterationStreams.from_seed(_child_seed(base_seed, "acq", 30), 2)
+        _, diag = kg_oneshot_next(AcqContext(state, prob, spec, streams, Y, v))
+        assert diag.value >= -1e-6
 
     def test_next_point_in_box_and_deterministic(self, branin_state, branin_problem):
         spec = small_spec("kg_mr_oneshot", n_v=4, n_raw=16, n_restarts=2)
