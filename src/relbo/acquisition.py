@@ -245,6 +245,11 @@ def _value_from_log_p(log_p, use_log):
     return -np.exp(log_p)
 
 
+def _value_grad(log_p, grad_log_p, use_log):
+    """Per-fantasy gradients of the value function from those of log P."""
+    return -grad_log_p if use_log else -np.exp(log_p)[:, None] * grad_log_p
+
+
 def kg_discrete_value(
     state, y, spec, x_disc, z_sample, is_sample, bounds, c, baseline=None
 ):
@@ -349,12 +354,9 @@ class _FantasyScan:
         return float(np.mean(best) - self.baseline), np.argmin(log_p, axis=1)
 
     def scan(self, ys):
-        vals = np.empty(len(ys))
-        args = []
-        for i, y in enumerate(ys):
-            vals[i], a = self.value_at(y)
-            args.append(a)
-        return vals, args
+        """``value_at`` over candidates: (values, per-candidate argmax indices)."""
+        vals, args = zip(*(self.value_at(y) for y in ys))
+        return np.array(vals), list(args)
 
 
 def _fantasy_pn_with_grads(state, y, z, xs, is_sample, bounds, smoothing, c):
@@ -427,17 +429,11 @@ def oneshot_objective(state, joint, z_sample, is_sample, bounds, smoothing, c, u
     log_p, grad_x, grad_y = _fantasy_pn_with_grads(
         state, y, z_sample, xs, is_sample, bounds, smoothing, c
     )
-    if use_log:
-        if np.any(np.isinf(log_p)):
-            return np.inf, np.zeros_like(joint)
-        value = float(np.mean(-log_p))
-        gx = -grad_x / n_v
-        gy = -np.sum(grad_y, axis=0) / n_v
-    else:
-        p = np.exp(log_p)
-        value = float(np.mean(-p))
-        gx = -p[:, None] * grad_x / n_v
-        gy = -np.sum(p[:, None] * grad_y, axis=0) / n_v
+    if use_log and np.any(np.isinf(log_p)):
+        return np.inf, np.zeros_like(joint)
+    value = float(np.mean(_value_from_log_p(log_p, use_log)))
+    gx = _value_grad(log_p, grad_x, use_log) / n_v
+    gy = np.sum(_value_grad(log_p, grad_y, use_log), axis=0) / n_v
     return value, np.concatenate([gy, gx.reshape(-1)])
 
 
@@ -458,13 +454,6 @@ def _kg_scan(ctx: AcqContext):
     return scan, cands, vals, args
 
 
-def _unbounded_gain(cands, vals, rule):
-    """The first candidate whose KG is infinite (it rescues a design from
-    certain failure)."""
-    i = int(np.argmax(np.isinf(vals)))
-    return cands[i], AcqDiagnostics(value=np.inf, rule=rule)
-
-
 def kg_discrete_next(ctx: AcqContext):
     """Select the next query by maximizing the discrete knowledge gradient
     over candidate sites, polished with the envelope gradient."""
@@ -473,7 +462,7 @@ def kg_discrete_next(ctx: AcqContext):
     d = bounds.shape[0]
     scan, cands, vals, _ = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
-        return _unbounded_gain(cands, vals, "kg_mr_discrete")
+        return cands[int(np.argmax(np.isinf(vals)))], AcqDiagnostics(np.inf, "kg_mr_discrete")
     starts = boltzmann_restarts(
         cands, vals, RestartPlan(len(cands), spec.n_restarts), streams.restart_seed
     )
@@ -489,11 +478,7 @@ def kg_discrete_next(ctx: AcqContext):
         log_p, _, grad_y = _fantasy_pn_with_grads(
             state, y, scan.z, xs, scan.is_sample, bounds, smoothing, problem.c
         )
-        if spec.use_log:
-            grad = -np.sum(grad_y, axis=0) / len(scan.z)
-        else:
-            grad = -np.sum(np.exp(log_p)[:, None] * grad_y, axis=0) / len(scan.z)
-        return value, grad
+        return value, np.sum(_value_grad(log_p, grad_y, spec.use_log), axis=0) / len(scan.z)
 
     y_next, y_val, _ = multistart_qn(
         BoundedObjective(d, bounds, objective, sense="max"), starts, max_iters=50
@@ -509,7 +494,7 @@ def kg_oneshot_next(ctx: AcqContext):
     d = bounds.shape[0]
     scan, cands, vals, args = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
-        return _unbounded_gain(cands, vals, "kg_mr_oneshot")
+        return cands[int(np.argmax(np.isinf(vals)))], AcqDiagnostics(np.inf, "kg_mr_oneshot")
     plan = RestartPlan(len(cands), spec.n_restarts)
     chosen = boltzmann_restarts(cands, vals, plan, streams.restart_seed)
     # Recover the per-fantasy argmax seeds for each chosen candidate.
@@ -582,8 +567,8 @@ def hc_next(ctx: AcqContext):
     d = bounds.shape[0]
     Y, v = np.atleast_2d(ctx.Y), np.asarray(ctx.v, float)
     diag_len = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
-    eps_s = spec.eps_s if spec.eps_s is not None else 0.01 * diag_len
-    delta_band = spec.delta_band if spec.delta_band is not None else 10.0
+    eps_s = spec.eps_s if spec.eps_s is not None else ctx.problem.eps_s
+    delta_band = spec.delta_band if spec.delta_band is not None else ctx.problem.delta_band
     feasible = v <= c
 
     def log_alpha_f(y):

@@ -12,7 +12,7 @@ import logging
 import os
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .reliability import (
     estimate_pn,
     estimate_pn_batch,
     evaluate_true_failure,
+    perturbed_grid,
     smooth_feasibility,
 )
 from .surrogate import fit_map
@@ -62,52 +63,30 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        acq = {k: v for k, v in vars(self.acquisition).items()}
-        return {
-            "problem": self.problem,
-            "mode": self.mode,
-            "acquisition": acq,
-            "n_tot": self.n_tot,
-            "repeats": self.repeats,
-            "base_seed": self.base_seed,
-            "rec_restarts": self.rec_restarts,
-            "rec_n_u_coarse": self.rec_n_u_coarse,
-            "rec_n_u_fine": self.rec_n_u_fine,
-            "rec_stride": self.rec_stride,
-            "score_n_u": self.score_n_u,
-            "record_timing": self.record_timing,
-        }
+        """Every field but ``out_dir``: what the config hash covers."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        out["acquisition"] = dict(vars(self.acquisition))
+        return out
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# INI key -> AcquisitionSpec type, and [recommendation] key -> config field.
+_SPEC_KEYS = {
+    "n_u": int, "n_v": int, "n_x": int, "tau": float, "rho": float, "kappa": float,
+    "eps_s": float, "delta_band": float, "n_raw": int, "n_restarts": int,
+}
+_REC_KEYS = {
+    "restarts": "rec_restarts", "n_u_coarse": "rec_n_u_coarse",
+    "n_u_fine": "rec_n_u_fine", "stride": "rec_stride", "score_n_u": "score_n_u",
+}
 _CONFIG_SECTIONS = {
     "problem": {"name", "mode"},
-    "acquisition": {
-        "kind",
-        "n_u",
-        "n_v",
-        "n_x",
-        "tau",
-        "rho",
-        "kappa",
-        "eps_s",
-        "delta_band",
-        "use_log",
-        "n_raw",
-        "n_restarts",
-    },
+    "acquisition": {"kind", "use_log", *_SPEC_KEYS},
     "budget": {"n_tot", "repeats", "base_seed"},
-    "recommendation": {
-        "restarts",
-        "n_u_coarse",
-        "n_u_fine",
-        "stride",
-        "score_n_u",
-        "record_timing",
-    },
+    "recommendation": {"record_timing", *_REC_KEYS},
 }
 
 
@@ -131,20 +110,7 @@ def load_config(path, out_dir=None) -> ExperimentConfig:
 
     mode = prob.get("mode", "extreme")
     spec_kwargs = {"kind": acq["kind"]}
-    for key, cast in (
-        ("n_u", int),
-        ("n_v", int),
-        ("n_x", int),
-        ("tau", float),
-        ("rho", float),
-        ("kappa", float),
-        ("eps_s", float),
-        ("delta_band", float),
-        ("n_raw", int),
-        ("n_restarts", int),
-    ):
-        if key in acq:
-            spec_kwargs[key] = cast(acq[key])
+    spec_kwargs.update((k, cast(acq[k])) for k, cast in _SPEC_KEYS.items() if k in acq)
     if "use_log" in acq:
         spec_kwargs["use_log"] = acq.getboolean("use_log")
     else:
@@ -156,17 +122,7 @@ def load_config(path, out_dir=None) -> ExperimentConfig:
     spec_kwargs.setdefault("delta_band", problem.delta_band)
     spec = AcquisitionSpec(**spec_kwargs)
 
-    kwargs = {}
-    if "restarts" in rec:
-        kwargs["rec_restarts"] = int(rec["restarts"])
-    if "n_u_coarse" in rec:
-        kwargs["rec_n_u_coarse"] = int(rec["n_u_coarse"])
-    if "n_u_fine" in rec:
-        kwargs["rec_n_u_fine"] = int(rec["n_u_fine"])
-    if "stride" in rec:
-        kwargs["rec_stride"] = int(rec["stride"])
-    if "score_n_u" in rec:
-        kwargs["score_n_u"] = int(rec["score_n_u"])
+    kwargs = {name: int(rec[k]) for k, name in _REC_KEYS.items() if k in rec}
     if "record_timing" in rec:
         kwargs["record_timing"] = parser["recommendation"].getboolean("record_timing")
     if out_dir is not None:
@@ -245,39 +201,27 @@ def recommend(
         # Every candidate has estimated failure probability zero; fall back to
         # the candidate keeping the most perturbation mass inside the box.
         log.warning("recommend: all candidates at zero estimated probability")
-        w = np.exp(sample.log_weights)
-        mass = [
-            float(np.mean(w * smooth_feasibility(x + sample.points, bounds, smoothing.delta)))
-            for x in cands
-        ]
-        best = int(np.argmax(mass))
-        return cands[best], 0.0
+        iota = smooth_feasibility(perturbed_grid(cands, sample), bounds, smoothing.delta)
+        mass = np.mean(np.exp(sample.log_weights) * iota.reshape(len(cands), -1), axis=1)
+        return cands[int(np.argmax(mass))], 0.0
     starts = boltzmann_restarts(
         cands, -log_p, RestartPlan(len(cands), restarts), _child_seed(seed, 3)
     )
 
-    def objective(x):
-        est = estimate_pn(state, x, sample, bounds, smoothing, problem.c)
-        return est.log_p, est.grad_log_p
+    def objective(is_sample):
+        def log_p_and_grad(x):
+            est = estimate_pn(state, x, is_sample, bounds, smoothing, problem.c)
+            return est.log_p, est.grad_log_p
 
-    x_best, val, _ = multistart_qn(
-        BoundedObjective(d, bounds, objective, sense="min"), starts
-    )
+        return BoundedObjective(d, bounds, log_p_and_grad, sense="min")
+
+    x_best, val, _ = multistart_qn(objective(sample), starts)
     if stage == "fine":
         fine_stream = SobolStream(
             2 * ((d + 1) // 2), scramble_seed=_child_seed(seed, 4)
         )
         fine_sample = draw_is_sample(problem.perturb, tau, n_u_fine, fine_stream)
-
-        def objective_fine(x):
-            est = estimate_pn(state, x, fine_sample, bounds, smoothing, problem.c)
-            return est.log_p, est.grad_log_p
-
-        x_best, val, _ = multistart_qn(
-            BoundedObjective(d, bounds, objective_fine, sense="min"),
-            [x_best],
-            max_iters=50,
-        )
+        x_best, val, _ = multistart_qn(objective(fine_sample), [x_best], max_iters=50)
     return x_best, float(np.exp(val))
 
 
@@ -355,16 +299,6 @@ def read_trace(path):
     return header, rows
 
 
-def _truncate_after(path, n_rows):
-    """Cut the file at ``path`` after its header and first ``n_rows`` rows."""
-    data = Path(path).read_bytes()
-    end = -1
-    for _ in range(n_rows + 1):
-        end = data.index(b"\n", end + 1)
-    with open(path, "r+b") as fh:
-        fh.truncate(end + 1)
-
-
 def trace_is_complete(path) -> bool:
     path = Path(path)
     if not path.exists():
@@ -389,11 +323,6 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
     """
     problem = get_problem(config.problem, config.mode)
     spec = config.acquisition
-    spec = replace(
-        spec,
-        eps_s=spec.eps_s if spec.eps_s is not None else problem.eps_s,
-        delta_band=spec.delta_band if spec.delta_band is not None else problem.delta_band,
-    )
     seed = config.base_seed + repeat_index
     d = problem.dim
     if trace_path is None:
@@ -404,7 +333,9 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
     if resumed_rows and resumed_rows[-1]["phase"] == "done":
         return Path(trace_path)
     if len(resumed_rows) >= problem.n_0:
-        _truncate_after(trace_path, len(resumed_rows))
+        # Cut a torn last row so the next record starts on a fresh line.
+        lines = Path(trace_path).read_bytes().splitlines(keepends=True)
+        os.truncate(trace_path, len(b"".join(lines[: 1 + len(resumed_rows)])))
         Y = np.array([[r[f"y_{j + 1}"] for j in range(d)] for r in resumed_rows])
         v = np.array([r["v"] for r in resumed_rows])
     else:  # no trace or a partial initial design: start from scratch

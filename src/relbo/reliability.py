@@ -47,9 +47,6 @@ class PerturbationModel:
         z = u / self.sigmas
         return -0.5 * np.sum(z**2, axis=1) - np.sum(np.log(self.sigmas)) - 0.5 * self.dim * _LOG_2PI
 
-    def density(self, u) -> np.ndarray:
-        return np.exp(self.log_density(u))
-
     def combine(self, x, u):
         """g(x, u) = x + u (fixed additive for all shipped problems)."""
         return np.asarray(x, float) + np.asarray(u, float)

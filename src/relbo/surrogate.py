@@ -335,9 +335,6 @@ class RFFPath:
         amp = np.sqrt(2.0 * hp.output_scale_sq / len(phases))
         return amp * np.cos(Pn @ freqs.T + phases)
 
-    def __call__(self, points) -> np.ndarray:
-        return self.evaluate(points)
-
     def evaluate(self, points) -> np.ndarray:
         """Path values at ``points``, original units."""
         st, hp, tr = self.state, self.state.hyperparams, self.state.transforms

@@ -5,12 +5,13 @@ Each test prints a single ``ACCEPTANCE <k>: PASS`` line on success (run with
 their traces under ``acceptance_runs/`` so reruns are cheap; delete that
 directory for a cold run.
 
-Traces are byte-identical across reruns on one platform only, so the
-quadratic cache behind criteria 8 and 11 is per platform: it lives in
-``acceptance_runs/quadratic_non_extreme/env_<fingerprint>/``, named after
-``environment_fingerprint()``. On a new platform the first run regenerates its
-10 repeats there (about 5 minutes on 2 CPUs) and later runs there reuse them;
-the committed cache is never read or rewritten. Criteria 9 and 10
+Traces are byte-identical across reruns of one source tree on one platform
+only, so the quadratic cache behind criteria 8 and 11 is per platform and per
+source tree: it lives in ``acceptance_runs/quadratic_non_extreme/env_<key>/``,
+the key hashing ``environment_fingerprint()`` and the ``src/relbo`` sources.
+After a source change or on a new platform the first run regenerates its 10
+repeats there (about 5 minutes on 2 CPUs) and later runs reuse them; the
+committed cache is never read or rewritten. Criteria 9 and 10
 still read the committed Branin caches, and criterion 9 stays red by design
 (see the README).
 """
@@ -65,6 +66,7 @@ from relbo.reliability import (
 from relbo.surrogate import SurrogateState, fit_map
 
 ACC_DIR = Path(__file__).resolve().parent.parent / "acceptance_runs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "relbo"
 
 
 def report(k, message):
@@ -332,16 +334,19 @@ def criterion8_config(out_dir):
 
 
 def on_this_platform(cfg):
-    """A copy of ``cfg`` that writes to a subdirectory named after this platform.
+    """A copy of ``cfg`` that writes to a subdirectory named after this
+    platform and this source tree.
 
-    Traces are byte-identical only across reruns on one platform, so each
-    platform keeps its own cache under ``env_<fingerprint>/``: a run reuses
-    only traces made where ``environment_fingerprint()`` is the same, and the
-    cache in ``cfg.out_dir`` itself is never read or rewritten.
+    Traces are byte-identical only across reruns of one source tree on one
+    platform, so each pair keeps its own cache under ``env_<key>/``, the key
+    hashing ``environment_fingerprint()`` and every ``src/relbo/*.py`` file: a
+    run reuses only traces made by the same code where the fingerprint is the
+    same, and the cache in ``cfg.out_dir`` itself is never read or rewritten.
     """
-    env = json.dumps(environment_fingerprint(), sort_keys=True)
-    key = hashlib.sha256(env.encode()).hexdigest()[:16]
-    return replace(cfg, out_dir=cfg.out_dir / f"env_{key}")
+    key = hashlib.sha256(json.dumps(environment_fingerprint(), sort_keys=True).encode())
+    for path in sorted(SRC_DIR.glob("*.py")):
+        key.update(path.name.encode() + b"\0" + path.read_bytes())
+    return replace(cfg, out_dir=cfg.out_dir / f"env_{key.hexdigest()[:16]}")
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 """End-to-end command-line workflow: run, report, score."""
 
+import json
+
 from relbo.cli import main
+from relbo.harness import environment_fingerprint
 
 CONFIG_TEXT = """\
 [problem]
@@ -69,3 +72,21 @@ def test_repeat_and_seed_overrides(tmp_path):
         == 0
     )
     assert len(list(out.glob("trace_*.csv"))) == 1
+
+
+def test_parallel_run_matches_sequential(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG_TEXT)
+    seq, par = tmp_path / "seq", tmp_path / "par"
+    assert main(["run", "--config", str(cfg), "--out", str(seq)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(par), "--parallel", "2"]) == 0
+    (manifest_path,) = par.glob("manifest_*.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["failed_repeats"] == []
+    assert manifest["environment"] == environment_fingerprint()
+    seq_traces = sorted(seq.glob("trace_*.csv"))
+    par_traces = sorted(par.glob("trace_*.csv"))
+    assert len(par_traces) == 2
+    assert [p.name for p in par_traces] == [p.name for p in seq_traces]
+    for a, b in zip(seq_traces, par_traces):
+        assert a.read_bytes() == b.read_bytes()

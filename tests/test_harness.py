@@ -224,13 +224,22 @@ class TestRunBo:
         full = run_bo(cfg_full, 0)
         full_lines = full.read_text().splitlines(keepends=True)
 
-        cfg_res = sobol_config(tmp_path / "res")
-        partial = cfg_res.out_dir / f"trace_{cfg_res.hash()}_r0.csv"
-        partial.parent.mkdir(parents=True)
-        # Keep the header, the initial design and the first two iterations.
-        partial.write_text("".join(full_lines[: 1 + 6 + 2]))
-        resumed = run_bo(cfg_res, 0)
-        assert resumed.read_bytes() == full.read_bytes()
+        # Keep the header, the initial design and the first two iterations,
+        # then optionally part of the third, torn inside a y or the v cell.
+        kept = "".join(full_lines[: 1 + 6 + 2])
+        cells = full_lines[1 + 6 + 2].split(",")
+        header = full_lines[0].split(",")
+        torn = {"": ""}
+        for col in ("y_1", "v"):
+            j = header.index(col)
+            torn[col] = ",".join(cells[:j] + [cells[j][: len(cells[j]) // 2]])
+        for col, tail in torn.items():
+            cfg_res = sobol_config(tmp_path / f"res_{col}")
+            partial = cfg_res.out_dir / f"trace_{cfg_res.hash()}_r0.csv"
+            partial.parent.mkdir(parents=True)
+            partial.write_text(kept + tail)
+            resumed = run_bo(cfg_res, 0)
+            assert resumed.read_bytes() == full.read_bytes(), col
 
     def test_repeats_differ(self, tmp_path):
         cfg = sobol_config(tmp_path)
