@@ -5,8 +5,9 @@ maximal-variance perturbation (ts_mr), the knowledge gradient on the negative
 log failure probability in discrete and one-shot forms (kg_mr_discrete,
 kg_mr_oneshot), a four-rule limit-state cascade (hc), expected-feasibility
 maximization (egra), expected improvement (ei) and Sobol' space filling
-(sobol). Each maps a fitted surrogate plus problem context to the next query
-point inside the feasible box.
+(sobol). Each maps one ``AcqContext`` (fitted surrogate, problem, spec,
+streams, observations) to the next query point inside the feasible box and its
+diagnostics; ``next_point`` runs the strategy the spec names.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .optimizers import (
     direct_maximize,
     multistart_qn,
 )
+from .problems import Problem
 from .reliability import (
     SmoothingConfig,
     _feasibility_parts,
+    _gp_marginal_log_j,
     _phi_terms,
     _smoothed_log_terms,
     draw_is_sample,
@@ -125,7 +128,7 @@ class AcqContext:
     """Everything a strategy reads to choose the next query point."""
 
     state: SurrogateState  # the surrogate fitted to (Y, v)
-    problem: object  # relbo.problems.Problem: bounds, threshold c, perturbation
+    problem: Problem
     spec: AcquisitionSpec
     streams: IterationStreams
     Y: np.ndarray  # (n, d) observed designs
@@ -209,16 +212,12 @@ def ts_mr_next(ctx: AcqContext):
         grad = -u / sigmas**2 + (_phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi)) * dh
         return float(val), grad
 
-    u_cands = [np.zeros(d)]
-    u_cands.append(
-        np.clip(
-            gaussian_qmc(streams.u_stream, 64, np.zeros(d), sigmas)[:, :d],
-            u_bounds[:, 0],
-            u_bounds[:, 1],
-        )
-    )
-    u_cands.append(_scale_to_box(streams.x_stream.take(64), u_bounds))
-    u_cands = np.vstack([np.atleast_2d(c) for c in u_cands])
+    u_qmc = gaussian_qmc(streams.u_stream, 64, np.zeros(d), sigmas)[:, :d]
+    u_cands = np.vstack([
+        np.zeros((1, d)),
+        np.clip(u_qmc, u_bounds[:, 0], u_bounds[:, 1]),
+        _scale_to_box(streams.x_stream.take(64), u_bounds),
+    ])
     u_vals = np.array([u_objective(u)[0] for u in u_cands])
     u_starts = boltzmann_restarts(
         u_cands, u_vals, RestartPlan(len(u_cands), spec.n_restarts), streams.restart_seed + 1
@@ -262,9 +261,8 @@ def kg_discrete_value(
     """
     smoothing = SmoothingConfig(0.0, spec.rho)
     if baseline is None:
-        baseline = float(
-            np.max(_grid_values(state, x_disc, is_sample, bounds, smoothing, c, spec.use_log))
-        )
+        base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, smoothing, c)
+        baseline = float(np.max(_value_from_log_p(base_log, spec.use_log)))
     total = 0.0
     for z in z_sample:
         fant = state.fantasize(y, float(z))
@@ -274,13 +272,6 @@ def kg_discrete_value(
             return np.inf
         total += best
     return total / len(z_sample) - baseline
-
-
-def _grid_values(state, x_disc, is_sample, bounds, smoothing, c, use_log):
-    """The current value of every grid design; their maximum is the term the
-    knowledge gradient subtracts."""
-    base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, smoothing, c)
-    return _value_from_log_p(base_log, use_log)
 
 
 class _FantasyScan:
@@ -301,7 +292,7 @@ class _FantasyScan:
         self.c = c
         self.spec = spec
         self.x_disc = np.atleast_2d(np.asarray(x_disc, float))
-        pts = perturbed_grid(self.x_disc, is_sample)
+        self.pts = pts = perturbed_grid(self.x_disc, is_sample)
         self.mean, self.var = state.posterior(pts)
         self.floor = NUGGET * state.transforms.output_std**2
         # Candidate-independent pieces of the posterior cross-covariance
@@ -315,10 +306,17 @@ class _FantasyScan:
         # delta = 0: hard interior indicator; outside points contribute J = 1.
         iota, _ = _feasibility_parts(pts, self.bounds, 0.0, False)
         self.inside = iota > 0.0
-        hard = SmoothingConfig(0.0, spec.rho)
-        self.baseline = float(
-            np.max(_grid_values(state, self.x_disc, is_sample, bounds, hard, c, spec.use_log))
+        self.baseline = float(np.max(self.grid_values(SmoothingConfig(0.0, spec.rho))))
+
+    def grid_values(self, smoothing):
+        """The current value of every grid design under ``smoothing``; their
+        maximum is the term the knowledge gradient subtracts."""
+        log_j, _ = _gp_marginal_log_j(
+            self.state, self.mean, self.var, None, None, self.pts, self.bounds, smoothing,
+            self.c,
         )
+        log_p, _ = log_mean_wj(self.is_sample.log_weights, log_j.reshape(len(self.x_disc), -1))
+        return _value_from_log_p(log_p, self.spec.use_log)
 
     def _cross_cov(self, y):
         """Posterior covariance k_n(t_i, y) for the whole grid, no gradients."""
@@ -522,16 +520,16 @@ def kg_oneshot_next(ctx: AcqContext):
     # the joint objective is maximized under. Each fantasy keeps the better of
     # its optimized design and that best grid design, so an inner maximization
     # that stopped short cannot report less than keeping the current best.
-    values = _grid_values(
-        state, scan.x_disc, scan.is_sample, bounds, smoothing, problem.c, spec.use_log
-    )
+    values = scan.grid_values(smoothing)
     y_next, xs = joint_best[:d], joint_best[d:].reshape(spec.n_v, d)
-    keep = np.repeat(scan.x_disc[np.argmax(values)][None, :], spec.n_v, axis=0)
-    log_p, _, _ = _fantasy_pn_with_grads(
-        state, y_next, np.concatenate([scan.z, scan.z]), np.vstack([xs, keep]),
-        scan.is_sample, bounds, smoothing, problem.c,
-    )
-    per_fantasy = _value_from_log_p(log_p, spec.use_log).reshape(2, spec.n_v)
+    keep = np.tile(scan.x_disc[np.argmax(values)], (spec.n_v, 1))
+    log_p = [
+        _fantasy_pn_with_grads(
+            state, y_next, scan.z, x, scan.is_sample, bounds, smoothing, problem.c
+        )[0]
+        for x in (xs, keep)
+    ]
+    per_fantasy = _value_from_log_p(np.array(log_p), spec.use_log)
     gain = float(np.mean(np.max(per_fantasy, axis=0)) - np.max(values))
     return y_next, AcqDiagnostics(value=gain, rule="kg_mr_oneshot")
 

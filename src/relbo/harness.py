@@ -111,10 +111,7 @@ def load_config(path, out_dir=None) -> ExperimentConfig:
     mode = prob.get("mode", "extreme")
     spec_kwargs = {"kind": acq["kind"]}
     spec_kwargs.update((k, cast(acq[k])) for k, cast in _SPEC_KEYS.items() if k in acq)
-    if "use_log" in acq:
-        spec_kwargs["use_log"] = acq.getboolean("use_log")
-    else:
-        spec_kwargs["use_log"] = mode == "extreme"
+    spec_kwargs["use_log"] = acq.getboolean("use_log", fallback=mode == "extreme")
     if "tau" not in spec_kwargs and mode == "non_extreme":
         spec_kwargs["tau"] = 1.0
     problem = get_problem(prob["name"], mode)

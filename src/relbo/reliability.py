@@ -234,9 +234,16 @@ def _smoothed_log_terms(log_phi, h, iota, want_grad, degenerate=None):
 def _gp_log_j(state, pts, bounds, smoothing, c, want_grad):
     """Per-point log J under the GP posterior marginal, and d log J / d point."""
     if want_grad:
-        mean, var, dmean, dvar = state.posterior_with_grad(pts)
+        marginal = state.posterior_with_grad(pts)
     else:
-        mean, var = state.posterior(pts)
+        marginal = (*state.posterior(pts), None, None)
+    return _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
+
+
+def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c):
+    """``_gp_log_j`` from a posterior marginal already computed at ``pts``;
+    d log J is computed (and returned) when ``dmean`` is given."""
+    want_grad = dmean is not None
     log_phi, h, sigma, deg = _phi_terms(state, mean, var, c)
     iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, want_grad)
     log_j, ratio_h, ratio_iota = _smoothed_log_terms(
