@@ -373,8 +373,7 @@ def _fantasy_pn_with_grads(state, y, z, xs, is_sample, bounds, smoothing, c):
     pts = perturbed_grid(xs, is_sample)
     d = pts.shape[1]
 
-    mean, var, dmean, dvar = state.posterior_with_grad(pts)
-    kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
+    mean, var, dmean, dvar, kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
     _, yvar, _, dyvar = state.posterior_with_grad(np.asarray(y, float)[None, :])
     floor = NUGGET * state.transforms.output_std**2
     vy = max(float(yvar[0]), floor)

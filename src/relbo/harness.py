@@ -36,6 +36,7 @@ from .surrogate import fit_map
 log = logging.getLogger(__name__)
 
 _FLOAT_FMT = "%.17g"
+REC_CANDIDATES = 1024  # Sobol' candidates in recommend's scan
 
 
 @dataclass
@@ -60,6 +61,32 @@ class ExperimentConfig:
         if prob.n_0 > self.n_tot:
             raise ValueError(
                 f"initial design size {prob.n_0} exceeds budget {self.n_tot}"
+            )
+        spec, n_raw = self.acquisition, self.acquisition.raw_count(prob.dim)
+        # Importance samples are qMC sets whose balance needs a power of two.
+        qmc_sizes = {
+            "n_u": spec.n_u, "rec_n_u_coarse": self.rec_n_u_coarse,
+            "rec_n_u_fine": self.rec_n_u_fine, "score_n_u": self.score_n_u,
+        }
+        counts = {
+            **qmc_sizes, "n_raw": n_raw, "repeats": self.repeats,
+            "rec_restarts": self.rec_restarts, "rec_stride": self.rec_stride,
+        }
+        for name, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name, value in qmc_sizes.items():
+            if value & (value - 1):
+                raise ValueError(f"{name} must be a power of two, got {value}")
+        if spec.n_restarts > n_raw:
+            raise ValueError(
+                f"n_restarts {spec.n_restarts} exceeds the {n_raw} candidates "
+                "they are chosen from"
+            )
+        if self.rec_restarts > REC_CANDIDATES:
+            raise ValueError(
+                f"rec_restarts {self.rec_restarts} exceeds the {REC_CANDIDATES} "
+                "candidates they are chosen from"
             )
 
     def to_dict(self) -> dict:
@@ -191,7 +218,7 @@ def recommend(
     u_stream = SobolStream(2 * ((d + 1) // 2), scramble_seed=_child_seed(seed, 1))
     sample = draw_is_sample(problem.perturb, tau, n_u_coarse, u_stream)
     cands = bounds[:, 0] + SobolStream(d, scramble_seed=_child_seed(seed, 2)).take(
-        1024
+        REC_CANDIDATES
     ) * (bounds[:, 1] - bounds[:, 0])
     log_p = estimate_pn_batch(state, cands, sample, bounds, smoothing, problem.c)
     if np.all(np.isinf(log_p)):

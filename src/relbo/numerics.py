@@ -1,6 +1,7 @@
 """Deterministic low-level numerics: scrambled Sobol' streams, Gaussian qMC
-draws via Box-Muller, and the special functions used by the probability and
-smoothing formulas.
+draws via Box-Muller, the special functions used by the probability and
+smoothing formulas, and the row blocking that bounds the memory of large
+batches.
 
 All functions here are pure; :class:`SobolStream` is the only stateful object
 (a mutable cursor into a fixed low-discrepancy sequence).
@@ -18,6 +19,10 @@ MAX_SOBOL_DIM = 64
 _MAX_CURSOR = 2**31
 
 TWO_PI = 2.0 * np.pi
+
+# float64 elements per temporary when a large batch is processed in blocks
+# of rows (16 MiB), so peak memory does not grow with the batch.
+ELEMENT_BUDGET = 2**21
 
 
 class SobolStream:
@@ -120,6 +125,25 @@ def gaussian_qmc(
     u = stream.take(count)[:, :needed]
     z = box_muller(u)[:, :d]
     return mean + scale_diag * z
+
+
+def in_blocks(fn, rows: np.ndarray, width: int):
+    """``fn(rows)`` computed over blocks of rows, its outputs concatenated.
+
+    A block holds ``ELEMENT_BUDGET // width`` rows rounded down to a power of
+    two, so a temporary of ``width`` float64 per row stays within the budget.
+    Power-of-two blocks start where the BLAS kernels' own tiles and thread
+    shares of a power-of-two batch start, so blocking leaves the bytes of the
+    products unchanged. ``fn`` returns an array or a tuple of arrays, each
+    with one leading entry per row.
+    """
+    step = 1 << max(0, (ELEMENT_BUDGET // max(width, 1)).bit_length() - 1)
+    if len(rows) <= step:
+        return fn(rows)
+    parts = [fn(rows[i : i + step]) for i in range(0, len(rows), step)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _check_finite(x) -> np.ndarray:

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, logsumexp
+from scipy.special import gammainc
 
 from .numerics import (
     SobolStream,
     gaussian_qmc,
+    in_blocks,
     std_normal_log_cdf,
     std_normal_log_pdf,
 )
@@ -176,7 +177,7 @@ def log_mean_wj(log_w, log_j, dlog_j=None):
     Returns (log_mean, grad or None).
     """
     terms = log_w + log_j
-    lse = logsumexp(terms, axis=-1)
+    lse = _logsumexp(terms)
     log_mean = lse - np.log(terms.shape[-1])
     if dlog_j is None:
         return log_mean, None
@@ -185,6 +186,21 @@ def log_mean_wj(log_w, log_j, dlog_j=None):
         soft = np.where(finite[..., None], np.exp(terms - lse[..., None]), 0.0)
     grad = np.matmul(soft[..., None, :], dlog_j)[..., 0, :]
     return log_mean, np.where(finite[..., None], grad, 0.0)
+
+
+def _logsumexp(terms):
+    """log sum exp(terms) over the last axis, by scipy.special.logsumexp's
+    algorithm in fewer passes: the maxima are left out of the shifted sum s,
+    and the result is log1p(s / m) + log m + max for m tied maxima. A row of
+    -inf gives -inf. ``terms`` holds no +inf or NaN."""
+    top = np.max(terms, axis=-1, keepdims=True)
+    at_top = terms == top
+    with np.errstate(invalid="ignore"):  # -inf - -inf in all -inf rows
+        shifted = np.exp(terms - top)
+    shifted[at_top] = 0.0
+    m = np.count_nonzero(at_top, axis=-1).astype(float)
+    s = np.sum(shifted, axis=-1)
+    return np.log1p(s / m) + np.log(m) + top[..., 0]
 
 
 def _phi_terms(state, mean, var, c):
@@ -379,7 +395,7 @@ def evaluate_true_failure(
     if problem.c == -np.inf:
         fail = np.ones_like(fail)
     elif np.any(inside) and np.isfinite(problem.c):
-        fv = problem.evaluate_unchecked(y_pts[inside])
+        fv = in_blocks(problem.evaluate_unchecked, y_pts[inside], perturb.dim)
         fail[inside] = fv >= problem.c
     w = np.exp(sample.log_weights)
     return float(np.mean(w * fail))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from .numerics import in_blocks
 from .optimizers import BoundedObjective, multistart_qn
 
 NOISE_VARIANCE = 0.01**2  # standardized units, never fitted
@@ -107,8 +108,11 @@ def matern52_grad_a(A, B, hp: GPHyperparams) -> np.ndarray:
     ls = hp.lengthscales
     r = np.sqrt(_scaled_sqdist(A, B, ls))
     coef = -hp.output_scale_sq * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
-    diff = (A[:, None, :] - B[None, :, :]) / ls**2
-    return coef[:, :, None] * diff
+    ls2 = ls**2
+    G = np.empty((len(A), len(B), len(ls)))
+    for j in range(len(ls)):  # one dimension at a time: no length-d inner loop
+        np.multiply(coef, (A[:, j, None] - B[None, :, j]) / ls2[j], out=G[:, :, j])
+    return G
 
 
 class SurrogateState:
@@ -163,25 +167,31 @@ class SurrogateState:
         hp, tr = self.hyperparams, self.transforms
         P = np.atleast_2d(np.asarray(points, float))
         Pn = tr.x_to_unit(P)
-        if self.n:
+        if not full_cov:
+            mean_std, cov_std = in_blocks(self._marginal, Pn, self.n)
+        elif self.n:
             Ks = self._k_train(Pn)
             mean_std = hp.constant_mean + Ks.T @ self.alpha
             V = solve_triangular(self.chol, Ks, lower=True)  # (n, m)
-            if full_cov:
-                cov_std = matern52(Pn, Pn, hp) - V.T @ V
-                cov_std = 0.5 * (cov_std + cov_std.T)
-                w, U = np.linalg.eigh(cov_std)
-                cov_std = (U * np.maximum(w, NUGGET)) @ U.T
-            else:
-                cov_std = np.maximum(hp.output_scale_sq - np.sum(V**2, axis=0), NUGGET)
+            cov_std = matern52(Pn, Pn, hp) - V.T @ V
+            cov_std = 0.5 * (cov_std + cov_std.T)
+            w, U = np.linalg.eigh(cov_std)
+            cov_std = (U * np.maximum(w, NUGGET)) @ U.T
         else:
             mean_std = np.full(len(P), hp.constant_mean)
-            if full_cov:
-                cov_std = matern52(Pn, Pn, hp)
-            else:
-                cov_std = np.full(len(P), hp.output_scale_sq)
+            cov_std = matern52(Pn, Pn, hp)
         mean = tr.y_unstandardize(mean_std)
         return mean, cov_std * tr.output_std**2
+
+    def _marginal(self, Pn):
+        """Standardized marginal mean and variance at normalized points."""
+        hp = self.hyperparams
+        if self.n == 0:
+            return np.full(len(Pn), hp.constant_mean), np.full(len(Pn), hp.output_scale_sq)
+        Ks = self._k_train(Pn)
+        V = solve_triangular(self.chol, Ks, lower=True)  # (n, m)
+        var_std = np.maximum(hp.output_scale_sq - np.sum(V**2, axis=0), NUGGET)
+        return hp.constant_mean + Ks.T @ self.alpha, var_std
 
     def posterior_with_grad(self, points):
         """Marginal posterior at ``points`` plus gradients w.r.t. the points.
@@ -189,14 +199,20 @@ class SurrogateState:
         Returns (mean, var, dmean, dvar) with dmean, dvar of shape (m, d),
         all in original units.
         """
-        hp, tr = self.hyperparams, self.transforms
-        P = np.atleast_2d(np.asarray(points, float))
-        Pn = tr.x_to_unit(P)
-        m = len(P)
+        Pn = self.transforms.x_to_unit(np.atleast_2d(np.asarray(points, float)))
+        parts = in_blocks(
+            lambda B: self._marginal_with_grad(B)[:4], Pn, self.n * self.dim
+        )
+        return self._grad_units(*parts)
+
+    def _marginal_with_grad(self, Pn):
+        """Standardized marginal (mean, var, dmean, dvar) at normalized points,
+        then the (n, m) kernel block, its K^-1 solve and the (m, n, d) kernel
+        gradient they come from (None without training data)."""
+        hp, m = self.hyperparams, len(Pn)
         if self.n == 0:
-            mean = np.full(m, tr.y_unstandardize(hp.constant_mean))
-            var = np.full(m, hp.output_scale_sq * tr.output_std**2)
-            return mean, var, np.zeros((m, self.dim)), np.zeros((m, self.dim))
+            zeros = np.zeros((m, self.dim))
+            return (*self._marginal(Pn), zeros, zeros, None, None, None)
         Ks = self._k_train(Pn)  # (n, m)
         mean_std = hp.constant_mean + Ks.T @ self.alpha
         Kinv_Ks = cho_solve((self.chol, True), Ks)  # (n, m)
@@ -207,39 +223,54 @@ class SurrogateState:
         dmean_std = np.einsum("mnd,n->md", G, self.alpha)
         dvar_std = -2.0 * np.einsum("mnd,nm->md", G, Kinv_Ks)
         dvar_std[clamped] = 0.0
+        return mean_std, var_std, dmean_std, dvar_std, Ks, Kinv_Ks, G
+
+    def _grad_units(self, mean_std, var_std, dmean_std, dvar_std):
+        """A standardized marginal and its gradients in original units."""
+        tr = self.transforms
         scale = 1.0 / tr.input_scale
-        mean = tr.y_unstandardize(mean_std)
-        var = var_std * tr.output_std**2
-        dmean = dmean_std * scale * tr.output_std
-        dvar = dvar_std * scale * tr.output_std**2
-        return mean, var, dmean, dvar
+        return (
+            tr.y_unstandardize(mean_std),
+            var_std * tr.output_std**2,
+            dmean_std * scale * tr.output_std,
+            dvar_std * scale * tr.output_std**2,
+        )
 
     def cross_cov_with_grad(self, points, y):
-        """Posterior covariance k_n(t_i, y) for a batch of t against a single
-        y, plus gradients w.r.t. t_i and w.r.t. y. Original units.
+        """The marginal posterior at a batch of t with its gradients, and the
+        posterior covariance k_n(t_i, y) against a single y with its gradients
+        w.r.t. t_i and w.r.t. y, from one kernel pass over the batch. Original
+        units.
 
-        Returns (kny, dkny_dt (m,d), dkny_dy (m,d)).
+        Returns (mean, var, dmean, dvar, kny, dkny_dt, dkny_dy), the first
+        four as from :meth:`posterior_with_grad`, the gradients of shape (m, d).
         """
         hp, tr = self.hyperparams, self.transforms
-        P = np.atleast_2d(np.asarray(points, float))
-        Pn = tr.x_to_unit(P)
+        Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
         yn = tr.x_to_unit(np.asarray(y, float).reshape(1, -1))
-        kty = matern52(Pn, yn, hp)[:, 0]  # (m,)
-        dk_dt = matern52_grad_a(Pn, yn, hp)[:, 0, :]  # (m, d)
-        dk_dy = -dk_dt
         if self.n:
-            Kt = self._k_train(Pn)  # (n, m)
-            ky = self._k_train(yn)[:, 0]  # (n,)
-            w_y = cho_solve((self.chol, True), ky)  # (n,)
-            kty = kty - Kt.T @ w_y
-            Gt = matern52_grad_a(Pn, self.Xn, hp)  # (m, n, d)
-            dk_dt = dk_dt - np.einsum("mnd,n->md", Gt, w_y)
+            w_y = cho_solve((self.chol, True), self._k_train(yn)[:, 0])  # (n,)
             Gy = matern52_grad_a(yn, self.Xn, hp)[0]  # (n, d)
-            Kinv_Kt = cho_solve((self.chol, True), Kt)  # (n, m)
-            dk_dy = dk_dy - Kinv_Kt.T @ Gy
+
+        def block(Bn):
+            mean_std, var_std, dmean_std, dvar_std, Kt, Kinv_Kt, Gt = (
+                self._marginal_with_grad(Bn)
+            )
+            kty = matern52(Bn, yn, hp)[:, 0]  # (m,)
+            dk_dt = matern52_grad_a(Bn, yn, hp)[:, 0, :]  # (m, d)
+            dk_dy = -dk_dt
+            if self.n:
+                kty = kty - Kt.T @ w_y
+                dk_dt = dk_dt - np.einsum("mnd,n->md", Gt, w_y)
+                dk_dy = dk_dy - Kinv_Kt.T @ Gy
+            return mean_std, var_std, dmean_std, dvar_std, kty, dk_dt, dk_dy
+
+        *marginal, kty, dk_dt, dk_dy = in_blocks(block, Pn, self.n * self.dim)
         scale = 1.0 / tr.input_scale
         s2 = tr.output_std**2
-        return kty * s2, dk_dt * scale * s2, dk_dy * scale * s2
+        return (
+            *self._grad_units(*marginal), kty * s2, dk_dt * scale * s2, dk_dy * scale * s2
+        )
 
     # -- conditioning ------------------------------------------------------
 
@@ -335,22 +366,35 @@ class RFFPath:
         amp = np.sqrt(2.0 * hp.output_scale_sq / len(phases))
         return amp * np.cos(Pn @ freqs.T + phases)
 
+    def _width(self):
+        """float64 per row of the largest evaluation temporary."""
+        return max(self.n_features, self.state.n * self.state.dim)
+
     def evaluate(self, points) -> np.ndarray:
         """Path values at ``points``, original units."""
-        st, hp, tr = self.state, self.state.hyperparams, self.state.transforms
+        tr = self.state.transforms
         Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
+        return tr.y_unstandardize(in_blocks(self._values, Pn, self._width()))
+
+    def _values(self, Pn):
+        st, hp = self.state, self.state.hyperparams
         vals = hp.constant_mean + self._features_static(
             self.frequencies, self.phases, hp, Pn
         ) @ self.weights
         if st.n:
             vals = vals + matern52(Pn, st.Xn, hp) @ self.update_coef
-        return tr.y_unstandardize(vals)
+        return vals
 
     def evaluate_with_grad(self, points):
         """Path values and gradients w.r.t. the points, original units."""
-        st, hp, tr = self.state, self.state.hyperparams, self.state.transforms
-        P = np.atleast_2d(np.asarray(points, float))
-        Pn = tr.x_to_unit(P)
+        tr = self.state.transforms
+        Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
+        vals, grads = in_blocks(self._values_with_grad, Pn, self._width())
+        scale = 1.0 / tr.input_scale
+        return tr.y_unstandardize(vals), grads * scale * tr.output_std
+
+    def _values_with_grad(self, Pn):
+        st, hp = self.state, self.state.hyperparams
         amp = np.sqrt(2.0 * hp.output_scale_sq / self.n_features)
         arg = Pn @ self.frequencies.T + self.phases
         vals = hp.constant_mean + amp * np.cos(arg) @ self.weights
@@ -359,8 +403,7 @@ class RFFPath:
             vals = vals + matern52(Pn, st.Xn, hp) @ self.update_coef
             G = matern52_grad_a(Pn, st.Xn, hp)  # (m, n, d)
             grads = grads + np.einsum("mnd,n->md", G, self.update_coef)
-        scale = 1.0 / tr.input_scale
-        return tr.y_unstandardize(vals), grads * scale * tr.output_std
+        return vals, grads
 
 
 def prior_state(hyperparams: GPHyperparams, bounds, output_mean=0.0, output_std=1.0):

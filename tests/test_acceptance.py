@@ -11,13 +11,17 @@ source tree: it lives in ``acceptance_runs/quadratic_non_extreme/env_<key>/``,
 the key hashing ``environment_fingerprint()`` and the ``src/relbo`` sources.
 After a source change or on a new platform the first run regenerates its 10
 repeats there (about 5 minutes on 2 CPUs) and later runs reuse them; the
-committed cache is never read or rewritten. Criteria 9 and 10
+sibling ``env_*`` directories this platform made for older source trees are
+deleted, and the committed cache is never read or rewritten. Criteria 1, 3,
+4, 6, 8 and 9 assert wall-clock gates and carry the ``timing`` marker, so
+they can be run alone (``-m timing``). Criteria 9 and 10
 still read the committed Branin caches, and criterion 9 stays red by design
 (see the README).
 """
 
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -82,6 +86,7 @@ def box_points(bounds, count, seed):
 # -- 1: importance-sampled tail probability --------------------------------
 
 
+@pytest.mark.timing
 def test_criterion_01_is_tail_probability():
     t0 = time.monotonic()
     truth = 1.349898e-3  # 1 - Phi(3)
@@ -113,6 +118,7 @@ def test_criterion_02_special_functions():
 # -- 3: fantasy update vs full refit ---------------------------------------
 
 
+@pytest.mark.timing
 def test_criterion_03_fantasy_equals_refit():
     t0 = time.monotonic()
     prob = get_problem("branin-2d")
@@ -146,6 +152,7 @@ def test_criterion_03_fantasy_equals_refit():
 # -- 4: analytic gradients vs finite differences ---------------------------
 
 
+@pytest.mark.timing
 def test_criterion_04_gradient_suite(branin_state, branin_problem):
     t0 = time.monotonic()
     prob = branin_problem
@@ -262,6 +269,7 @@ def test_criterion_05_kg_nonnegative(branin_state, branin_problem):
 # -- 6: expected-feasibility closed form vs MC -----------------------------
 
 
+@pytest.mark.timing
 def test_criterion_06_egra_closed_form():
     t0 = time.monotonic()
     rng = np.random.default_rng(6)
@@ -349,12 +357,47 @@ def on_this_platform(cfg):
     return replace(cfg, out_dir=cfg.out_dir / f"env_{key.hexdigest()[:16]}")
 
 
+def prune_stale_caches(keep, here):
+    """Delete the ``env_*`` siblings of ``keep`` whose manifest names platform
+    ``here``: older source trees made them on this platform, so no key will
+    pick them again. A directory from another platform, or without a
+    manifest, is left alone."""
+    for other in keep.parent.glob("env_*"):
+        if other == keep or not other.is_dir():
+            continue
+        manifests = list(other.glob("manifest_*.json"))
+        if manifests and all(
+            json.loads(m.read_text()).get("environment") == here for m in manifests
+        ):
+            shutil.rmtree(other)
+
+
 @pytest.fixture(scope="module")
 def desk_quadratic_runs():
     cfg = on_this_platform(criterion8_config(ACC_DIR / "quadratic_non_extreme"))
+    prune_stale_caches(cfg.out_dir, environment_fingerprint())
     t0 = time.monotonic()
     manifest = run_experiment(cfg)
     return cfg, manifest, time.monotonic() - t0
+
+
+def test_prune_stale_caches(tmp_path):
+    here = environment_fingerprint()
+    elsewhere = {**here, "machine": "elsewhere"}
+    manifests = {
+        "env_keep": {"environment": here},
+        "env_old": {"environment": here},  # an older source tree, this platform
+        "env_other": {"environment": elsewhere},
+        "env_unknown": {},  # provenance not recorded
+    }
+    for name, manifest in manifests.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest_0.json").write_text(json.dumps(manifest))
+    (tmp_path / "env_bare").mkdir()  # no manifest yet: a run in progress
+    (tmp_path / "kept.csv").write_text("")
+    prune_stale_caches(tmp_path / "env_keep", here)
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == ["env_bare", "env_keep", "env_other", "env_unknown", "kept.csv"]
 
 
 def final_records(manifest):
@@ -367,6 +410,7 @@ def final_records(manifest):
     return out
 
 
+@pytest.mark.timing
 def test_criterion_08_desk_scale_optimization(desk_quadratic_runs):
     cfg, manifest, elapsed = desk_quadratic_runs
     finals = final_records(manifest)
@@ -425,6 +469,7 @@ def branin_comparison_runs():
     return manifests, time.monotonic() - t0
 
 
+@pytest.mark.timing
 def test_criterion_09_branin_comparative(branin_comparison_runs):
     manifests, elapsed = branin_comparison_runs
     medians = {

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, seed discipline, trace persistence,
 the optimization loop and manifest writing."""
 
+import configparser
 import hashlib
 import json
 from pathlib import Path
@@ -51,6 +52,19 @@ record_timing = false
 def write_config(tmp_path, text=CONFIG_TEXT, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
+    return path
+
+
+def config_with(tmp_path, section, key, value, **acquisition):
+    """CONFIG_TEXT with ``[section] key = value`` (and ``acquisition`` keys) set."""
+    parser = configparser.ConfigParser()
+    parser.read_string(CONFIG_TEXT)
+    parser[section][key] = str(value)
+    for k, v in acquisition.items():
+        parser["acquisition"][k] = str(v)
+    path = tmp_path / "exp.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
     return path
 
 
@@ -112,6 +126,40 @@ class TestConfig:
     def test_budget_below_initial_design_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             sobol_config(tmp_path, n_tot=3)  # quadratic-2d has n_0 = 6
+
+    # Each rule below is checked when the config is loaded, not at the first
+    # acquisition or recommendation that would trip over it.
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("acquisition", "n_u"), ("recommendation", "n_u_coarse"),
+         ("recommendation", "n_u_fine"), ("recommendation", "score_n_u")],
+    )
+    def test_sample_size_not_power_of_two_rejected(self, tmp_path, section, key):
+        with pytest.raises(ValueError, match="power of two"):
+            load_config(config_with(tmp_path, section, key, 48))
+
+    def test_restarts_beyond_raw_candidates_rejected(self, tmp_path):
+        load_config(config_with(tmp_path, "acquisition", "n_raw", 16, n_restarts=16))
+        with pytest.raises(ValueError, match="n_restarts 17 exceeds the 16"):
+            load_config(config_with(tmp_path, "acquisition", "n_raw", 16, n_restarts=17))
+
+    def test_rec_restarts_beyond_candidate_scan_rejected(self, tmp_path):
+        load_config(config_with(tmp_path, "recommendation", "restarts", 1024))
+        with pytest.raises(ValueError, match="rec_restarts 1025 exceeds the 1024"):
+            load_config(config_with(tmp_path, "recommendation", "restarts", 1025))
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("acquisition", "n_u"), ("acquisition", "n_v"), ("acquisition", "n_x"),
+         ("acquisition", "n_raw"), ("acquisition", "n_restarts"),
+         ("recommendation", "restarts"), ("recommendation", "n_u_coarse"),
+         ("recommendation", "n_u_fine"), ("recommendation", "score_n_u"),
+         ("recommendation", "stride"), ("budget", "repeats")],
+    )
+    def test_count_below_one_rejected(self, tmp_path, section, key):
+        with pytest.raises(ValueError):
+            load_config(config_with(tmp_path, section, key, 0))
 
 
 class TestSeeds:

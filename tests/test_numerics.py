@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import kstest
 
+import relbo.numerics as numerics
 from relbo.numerics import (
     MAX_SOBOL_DIM,
     SobolStream,
     box_muller,
     gaussian_qmc,
+    in_blocks,
     regularized_lower_gamma,
     std_normal_cdf,
     std_normal_log_cdf,
@@ -122,6 +124,29 @@ class TestGaussianQmc:
     def test_stream_dimension_check(self):
         with pytest.raises(ValueError):
             gaussian_qmc(SobolStream(2), 4, np.zeros(3), np.ones(3))
+
+
+class TestInBlocks:
+    def test_power_of_two_blocks_within_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", 100)
+        sizes = []
+
+        def fn(rows):
+            sizes.append(len(rows))
+            return rows.sum(axis=1), rows[:, ::-1]
+
+        rows = np.arange(60.0).reshape(30, 2)
+        total, flipped = in_blocks(fn, rows, 7)  # 100 // 7 = 14 -> 8 rows
+        assert sizes == [8, 8, 8, 6]
+        np.testing.assert_array_equal(total, rows.sum(axis=1))
+        np.testing.assert_array_equal(flipped, rows[:, ::-1])
+        sizes.clear()
+        in_blocks(fn, rows, 1000)  # wider than the budget: one row at a time
+        assert sizes == [1] * 30
+
+    def test_one_block_is_a_plain_call(self):
+        rows = np.ones((5, 3))
+        assert in_blocks(lambda r: r, rows, 3) is rows
 
 
 class TestNormalFunctions:

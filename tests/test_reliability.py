@@ -1,11 +1,12 @@
 """Failure-probability estimators: importance sampling, bounds smoothing,
 and the smoothed log-space estimators with their gradients."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, logsumexp
 
 from conftest import fd_gradient_error
 from relbo.numerics import SobolStream
@@ -20,8 +21,10 @@ from relbo.reliability import (
     estimate_ptilde,
     evaluate_true_failure,
     _feasibility_parts,
+    _gp_log_j,
     _phi_terms,
     _smoothed_log_terms,
+    log_mean_wj,
     smooth_feasibility,
 )
 from relbo.surrogate import GPHyperparams, prior_state
@@ -307,6 +310,44 @@ class TestEstimatePn:
         np.testing.assert_allclose(batch, loop, atol=1e-10)
 
 
+class TestLogMeanWj:
+    """The direct log-sum-exp against scipy.special.logsumexp."""
+
+    @staticmethod
+    def scipy_log_mean(log_w, log_j):
+        return logsumexp(log_w + log_j, axis=-1) - np.log(np.shape(log_j)[-1])
+
+    def test_random_within_one_ulp(self):
+        rng = np.random.default_rng(0)
+        for shape in [(64,), (7, 64), (3, 5, 1024), (2, 33)]:
+            log_w = rng.normal(size=shape[-1])
+            log_j = rng.normal(scale=30.0, size=shape) - 20.0
+            got, _ = log_mean_wj(log_w, log_j)
+            np.testing.assert_array_max_ulp(got, self.scipy_log_mean(log_w, log_j), maxulp=1)
+
+    def test_edge_rows_exact(self):
+        log_w = np.zeros(8)  # so that the rows below are the terms exactly
+        rows = np.array([
+            np.full(8, -np.inf),  # every term underflows
+            [-3.0, -1.0, -1.0, -7.0, -2.0, -1.0, -5.0, -9.0],  # tied maxima
+            [-np.inf, -np.inf, -4.2, -np.inf, -np.inf, -np.inf, -np.inf, -np.inf],
+            [-1e3, -np.inf, -1e3 - 1e-9, -745.0, -np.inf, -2e3, -1e3, -np.inf],
+        ])
+        got, _ = log_mean_wj(log_w, rows)
+        np.testing.assert_array_equal(got, self.scipy_log_mean(log_w, rows))
+        assert got[0] == -np.inf
+
+    def test_one_dimensional_input_exact(self, branin_state, branin_problem):
+        # The 1-D terms of a single-design estimate.
+        prob = branin_problem
+        sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(2, seed=3))
+        y = np.array([2.5, 7.5]) + sample.points
+        log_j, _ = _gp_log_j(branin_state, y, prob.bounds, SmoothingConfig(0.5), prob.c, False)
+        got, _ = log_mean_wj(sample.log_weights, log_j)
+        assert np.ndim(got) == 0
+        np.testing.assert_array_equal(got, self.scipy_log_mean(sample.log_weights, log_j))
+
+
 class TestEstimatePtilde:
     def test_all_failures_saturates(self, branin_state, branin_problem):
         prob = branin_problem
@@ -368,6 +409,19 @@ class TestEvaluateTrueFailure:
         # The qMC IS estimator has far lower variance than the MC oracle; use
         # the MC standard error as the combined scale.
         assert abs(est - mc) < 4 * se + 1e-4
+
+    def test_gp_problem_scored_in_bounded_memory(self):
+        # The true function is a 1024-feature sample path; evaluated in one
+        # pass, its feature arrays would take 1 GB per temporary here.
+        prob = get_problem("gp-2d")
+        tracemalloc.start()
+        try:
+            p = evaluate_true_failure(prob, np.full(2, 0.5), n_u=2**17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= p <= 1.0
+        assert peak < 128 * 2**20
 
     def test_infinite_thresholds(self):
         dummy = SimpleNamespace(

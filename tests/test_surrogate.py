@@ -1,16 +1,24 @@
 """Gaussian-process surrogate: kernel values, MAP fitting, posterior math,
 fantasy conditioning, and pathwise samples."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+import relbo.numerics as numerics
 from conftest import fd_gradient_error
+from relbo.acquisition import _fantasy_pn_with_grads
 from relbo.numerics import SobolStream
+from relbo.reliability import ISSample, SmoothingConfig
 from relbo.surrogate import (
     NOISE_VARIANCE,
+    NUGGET,
     GPHyperparams,
     SurrogateState,
     Transforms,
+    _scaled_sqdist,
     fit_map,
     matern52,
     matern52_grad_a,
@@ -20,6 +28,53 @@ from relbo.surrogate import (
 
 def unit_hp(s2=2.0, ls=0.3, d=2):
     return GPHyperparams(s2, np.full(d, ls), 0.0)
+
+
+def box_points(state, count, seed):
+    tr = state.transforms
+    return tr.input_lo + SobolStream(state.dim, scramble_seed=seed).take(count) * tr.input_scale
+
+
+def broadcast_grad_a(A, B, hp):
+    """``matern52_grad_a`` as one (m, n, d) broadcast, the reference its
+    per-dimension fill reproduces byte for byte."""
+    ls = hp.lengthscales
+    r = np.sqrt(_scaled_sqdist(A, B, ls))
+    coef = -hp.output_scale_sq * (5.0 / 3.0) * (1.0 + np.sqrt(5.0) * r) * np.exp(-np.sqrt(5.0) * r)
+    return coef[:, :, None] * ((A[:, None, :] - B[None, :, :]) / ls**2)
+
+
+def two_pass_cross_cov(state, points, y):
+    """``cross_cov_with_grad`` as two kernel passes: ``posterior_with_grad``,
+    then the cross-covariance from its own kernel block, gradient tensor and
+    solve."""
+    hp, tr = state.hyperparams, state.transforms
+    Pn = tr.x_to_unit(np.atleast_2d(points))
+    yn = tr.x_to_unit(np.asarray(y, float).reshape(1, -1))
+    kty = matern52(Pn, yn, hp)[:, 0]
+    dk_dt = matern52_grad_a(Pn, yn, hp)[:, 0, :]
+    dk_dy = -dk_dt
+    Kt = matern52(state.Xn, Pn, hp)
+    w_y = cho_solve((state.chol, True), matern52(state.Xn, yn, hp)[:, 0])
+    kty = kty - Kt.T @ w_y
+    dk_dt = dk_dt - np.einsum("mnd,n->md", matern52_grad_a(Pn, state.Xn, hp), w_y)
+    Gy = matern52_grad_a(yn, state.Xn, hp)[0]
+    dk_dy = dk_dy - cho_solve((state.chol, True), Kt).T @ Gy
+    scale = 1.0 / tr.input_scale
+    s2 = tr.output_std**2
+    return (
+        *state.posterior_with_grad(points), kty * s2, dk_dt * scale * s2, dk_dy * scale * s2
+    )
+
+
+@pytest.fixture(scope="module")
+def noiseless_state():
+    """A surrogate with a negligible noise variance: at its training inputs
+    the posterior variance sits at the floor."""
+    X = SobolStream(2, scramble_seed=2).take(12)
+    y = np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2
+    hp = GPHyperparams(1.0, np.full(2, 0.3), 0.0, noise_variance=1e-14)
+    return SurrogateState(X, y, Transforms.from_data(X, y, [[0, 1], [0, 1]]), hp)
 
 
 class TestKernel:
@@ -157,20 +212,104 @@ class TestPosterior:
         for _ in range(10):
             t = lo + rng.uniform(size=2) * span
             y = lo + rng.uniform(size=2) * span
-            _, dk_dt, dk_dy = branin_state.cross_cov_with_grad(t[None, :], y)
+            *_, dk_dt, dk_dy = branin_state.cross_cov_with_grad(t[None, :], y)
             err_t = fd_gradient_error(
-                lambda p: branin_state.cross_cov_with_grad(p[None, :], y)[0][0],
+                lambda p: branin_state.cross_cov_with_grad(p[None, :], y)[4][0],
                 t,
                 dk_dt[0],
                 span,
             )
             err_y = fd_gradient_error(
-                lambda p: branin_state.cross_cov_with_grad(t[None, :], p)[0][0],
+                lambda p: branin_state.cross_cov_with_grad(t[None, :], p)[4][0],
                 y,
                 dk_dy[0],
                 span,
             )
             assert err_t < 1e-4 and err_y < 1e-4
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_grad_a_per_dimension_equals_broadcast(self, d):
+        hp = GPHyperparams(1.7, np.linspace(0.2, 0.6, d), 0.0)
+        rng = np.random.default_rng(d)
+        A, B = rng.uniform(size=(300, d)), rng.uniform(size=(40, d))
+        np.testing.assert_array_equal(matern52_grad_a(A, B, hp), broadcast_grad_a(A, B, hp))
+
+    def test_cross_cov_equals_two_passes(self, branin_state):
+        pts = box_points(branin_state, 2048, 5)
+        for y in (pts[7], np.array([2.5, 7.5]), branin_state.train_inputs[3]):
+            fused = branin_state.cross_cov_with_grad(pts, y)
+            for got, want in zip(fused, two_pass_cross_cov(branin_state, pts, y), strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    def test_cross_cov_equals_two_passes_at_variance_floor(self, noiseless_state):
+        st = noiseless_state
+        pts = np.vstack([st.train_inputs, box_points(st, 20, 1)])
+        fused = st.cross_cov_with_grad(pts, st.train_inputs[0])
+        floor = NUGGET * st.transforms.output_std**2
+        assert np.any(fused[1] == floor)  # the clamped mask applies
+        for got, want in zip(fused, two_pass_cross_cov(st, pts, st.train_inputs[0]), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_fantasy_unchanged_by_fusion_at_variance_floor(self, noiseless_state, monkeypatch):
+        # Perturbations include zero, so some perturbed designs are training
+        # inputs, where the fantasy variance is degenerate.
+        st = noiseless_state
+        u = np.vstack([np.zeros((1, 2)), 0.05 * SobolStream(2, scramble_seed=3).take(7) - 0.025])
+        sample = ISSample(u, np.zeros(8), 1.0)
+        xs, z = st.train_inputs[:4], np.array([-1.0, -0.2, 0.4, 1.3])
+        args = (st, np.array([0.52, 0.47]), z, xs, sample, [[0, 1], [0, 1]],
+                SmoothingConfig(0.05), 0.4)
+        fused = _fantasy_pn_with_grads(*args)
+        monkeypatch.setattr(SurrogateState, "cross_cov_with_grad", two_pass_cross_cov)
+        for got, want in zip(fused, _fantasy_pn_with_grads(*args), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestBlocks:
+    """Batches larger than one block agree with a single pass over them."""
+
+    def blocked_and_whole(self, monkeypatch, fn):
+        whole = fn()
+        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", 2**16)
+        blocked = fn()
+        monkeypatch.undo()
+        return blocked, whole
+
+    @pytest.mark.parametrize("m", [3000, 4096])
+    def test_posterior_calls(self, branin_state, monkeypatch, m):
+        pts = box_points(branin_state, m, 6)
+        y = np.array([1.0, 4.0])
+        path = branin_state.draw_rff_path(512, seed=4)
+        for fn in (
+            lambda: branin_state.posterior(pts),
+            lambda: branin_state.posterior_with_grad(pts),
+            lambda: branin_state.cross_cov_with_grad(pts, y),
+            lambda: (path.evaluate(pts),),
+            lambda: path.evaluate_with_grad(pts),
+        ):
+            blocked, whole = self.blocked_and_whole(monkeypatch, fn)
+            for got, want in zip(blocked, whole, strict=True):
+                # Relative to the batch's scale: a gradient entry that cancels
+                # to near zero may move by a rounding of its largest terms.
+                scale = np.max(np.abs(want))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_rff_evaluate_memory_is_bounded(self):
+        # One pass over 2^16 points builds (2^16 x 1024) float64 feature
+        # arrays, 512 MB each; in blocks the peak stays near the budget.
+        hp = GPHyperparams(100.0, np.full(2, 0.28), 0.0)
+        path = prior_state(hp, [[0, 1], [0, 1]]).draw_rff_path(1024, seed=145)
+        pts = SobolStream(2, scramble_seed=1).take(2**16)
+        tracemalloc.start()
+        try:
+            vals = path.evaluate(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (2**16,) and np.all(np.isfinite(vals))
+        assert peak < 64 * 2**20
 
 
 class TestFantasize:
