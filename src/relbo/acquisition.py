@@ -36,10 +36,7 @@ from .optimizers import (
 from .problems import Problem
 from .reliability import (
     SmoothingConfig,
-    _feasibility_parts,
     _gp_marginal_log_j,
-    _phi_terms,
-    _smoothed_log_terms,
     draw_is_sample,
     estimate_pn_batch,
     estimate_ptilde,
@@ -47,7 +44,7 @@ from .reliability import (
     log_mean_wj,
     perturbed_grid,
 )
-from .surrogate import NUGGET, SurrogateState, matern52
+from .surrogate import SurrogateState, matern52
 
 log = logging.getLogger(__name__)
 
@@ -201,8 +198,7 @@ def ts_mr_next(ctx: AcqContext):
     def u_objective(u):
         y = x_next + u
         mean, var, dmean, dvar = state.posterior_with_grad(y[None, :])
-        floor = NUGGET * state.transforms.output_std**2
-        sd = np.sqrt(max(var[0], floor))
+        sd = np.sqrt(var[0])
         h = np.clip((mean[0] - problem.c) / sd, -_H_CLAMP, _H_CLAMP)
         dh = (dmean[0] - h * dvar[0] / (2.0 * sd**2) * sd) / sd
         lp = std_normal_log_pdf(h)
@@ -274,14 +270,87 @@ def kg_discrete_value(
     return total / len(z_sample) - baseline
 
 
+def _fantasy_marginal(state, z, mean, var, kty, vy, grads=None):
+    """A posterior marginal at points t after conditioning on the fantasy
+    observation mu_n(y) + z sqrt(v_n(y)) at y, by the closed-form rank-one
+    update of the mean and variance:
+
+        mean + z k_n(t, y) sqrt(v_n(y)) / (v_n(y) + noise)
+        var - k_n(t, y)^2 / (v_n(y) + noise)
+
+    ``z`` broadcasts against ``kty``. ``grads`` holds (dmean, dvar, dk_dt,
+    dk_dy, dvy), the derivatives of the marginal and of k_n w.r.t. t and y and
+    of v_n(y) w.r.t. y; ``z`` then has one draw per point.
+
+    Returns (fmean, fvar, dfmean, dfvar), the derivatives w.r.t. (t, y) in
+    (m, 2d) columns, or None without ``grads``.
+    """
+    noise = state.hyperparams.noise_variance * state.transforms.output_std**2
+    sq, denom = np.sqrt(vy), vy + noise
+    fmean = mean + z * (kty * sq / denom)
+    fvar = var - kty**2 / denom
+    if grads is None:
+        return fmean, fvar, None, None
+    dmean, dvar, dk_dt, dk_dy, dvy = grads
+    a = sq / denom
+    da_dy = dvy * (noise - vy) / (2.0 * sq * denom**2)
+    zc = z[:, None]
+    dfmean = np.hstack([dmean + zc * (dk_dt * a), zc * (dk_dy * a + np.outer(kty, da_dy))])
+    r = (2.0 * kty / denom)[:, None]
+    dfvar = np.hstack([dvar - r * dk_dt, np.outer(kty**2 / denom**2, dvy) - r * dk_dy])
+    return fmean, fvar, dfmean, dfvar
+
+
+def _cross_cov(state, pts_n, kt, y):
+    """Posterior covariance k_n(t_i, y) at normalized points ``pts_n``, given
+    their kernel block ``kt`` against the training inputs; no gradients."""
+    tr, hp = state.transforms, state.hyperparams
+    yn = tr.x_to_unit(np.asarray(y, float)).reshape(1, -1)
+    kty = matern52(pts_n, yn, hp)[:, 0]
+    if state.n:
+        kty = kty - kt @ cho_solve((state.chol, True), matern52(state.Xn, yn, hp)[:, 0])
+    return kty * tr.output_std**2
+
+
+def _fantasy_log_p(state, y, z, xs, is_sample, bounds, smoothing, c, want_grad=True):
+    """Per-fantasy log failure probability at designs ``xs`` (one per draw in
+    ``z``) after conditioning on the fantasy observation at ``y``.
+
+    Returns (log_p (Nv,), grad_x (Nv, d), grad_y (Nv, d)), the gradients
+    None without ``want_grad``.
+    """
+    y = np.asarray(y, float)
+    n_v, n_u = len(z), len(is_sample)
+    pts = perturbed_grid(xs, is_sample)
+    d = pts.shape[1]
+    if want_grad:
+        mean, var, dmean, dvar, kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
+        _, vy, _, dvy = state.posterior_with_grad(y[None, :])
+        grads = (dmean, dvar, dk_dt, dk_dy, dvy[0])
+    else:
+        mean, var = state.posterior(pts)
+        pts_n = state.transforms.x_to_unit(pts)
+        kty = _cross_cov(state, pts_n, matern52(pts_n, state.Xn, state.hyperparams), y)
+        _, vy = state.posterior(y[None, :])
+        grads = None
+    marginal = _fantasy_marginal(state, np.repeat(z, n_u), mean, var, kty, vy[0], grads)
+    log_j, dlog_j = _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
+    if not want_grad:
+        return log_mean_wj(is_sample.log_weights, log_j.reshape(n_v, n_u))[0], None, None
+    log_p, grad = log_mean_wj(
+        is_sample.log_weights, log_j.reshape(n_v, n_u), dlog_j.reshape(n_v, n_u, 2 * d)
+    )
+    return log_p, grad[:, :d], grad[:, d:]
+
+
 class _FantasyScan:
     """Shared per-iteration workspace for evaluating the discrete knowledge
     gradient at many candidate observation sites.
 
     The perturbed design grid (every grid design plus every perturbation) is
     candidate-independent, so its base posterior is computed once; each
-    candidate then only needs a cross-covariance vector and the closed-form
-    rank-one fantasy update of the mean and variance.
+    candidate then only needs a cross-covariance vector and the rank-one
+    fantasy update of the mean and variance.
     """
 
     def __init__(self, state, x_disc, z_sample, is_sample, bounds, c, spec):
@@ -291,22 +360,14 @@ class _FantasyScan:
         self.bounds = np.asarray(bounds, float)
         self.c = c
         self.spec = spec
+        self.hard = SmoothingConfig(0.0, spec.rho)
         self.x_disc = np.atleast_2d(np.asarray(x_disc, float))
         self.pts = pts = perturbed_grid(self.x_disc, is_sample)
         self.mean, self.var = state.posterior(pts)
-        self.floor = NUGGET * state.transforms.output_std**2
-        # Candidate-independent pieces of the posterior cross-covariance
-        # k_n(t, y): the train-against-grid kernel block is fixed.
+        # The train-against-grid kernel block behind k_n(t, y) is fixed.
         self._pts_n = state.transforms.x_to_unit(pts)
-        self._kt = (
-            matern52(self._pts_n, state.Xn, state.hyperparams)
-            if state.n
-            else np.zeros((len(pts), 0))
-        )
-        # delta = 0: hard interior indicator; outside points contribute J = 1.
-        iota, _ = _feasibility_parts(pts, self.bounds, 0.0, False)
-        self.inside = iota > 0.0
-        self.baseline = float(np.max(self.grid_values(SmoothingConfig(0.0, spec.rho))))
+        self._kt = matern52(self._pts_n, state.Xn, state.hyperparams)
+        self.baseline = float(np.max(self.grid_values(self.hard)))
 
     def grid_values(self, smoothing):
         """The current value of every grid design under ``smoothing``; their
@@ -318,97 +379,48 @@ class _FantasyScan:
         log_p, _ = log_mean_wj(self.is_sample.log_weights, log_j.reshape(len(self.x_disc), -1))
         return _value_from_log_p(log_p, self.spec.use_log)
 
-    def _cross_cov(self, y):
-        """Posterior covariance k_n(t_i, y) for the whole grid, no gradients."""
-        st = self.state
-        tr, hp = st.transforms, st.hyperparams
-        yn = tr.x_to_unit(np.asarray(y, float)).reshape(1, -1)
-        kty = matern52(self._pts_n, yn, hp)[:, 0]
-        if st.n:
-            ky = matern52(st.Xn, yn, hp)[:, 0]
-            kty = kty - self._kt @ cho_solve((st.chol, True), ky)
-        return kty * tr.output_std**2
+    def log_p_at(self, y, smoothing):
+        """log P at every grid design under every fantasy observed at ``y``,
+        shape (Nv, Nx)."""
+        y = np.asarray(y, float)
+        _, vy = self.state.posterior(y[None, :])
+        kty = _cross_cov(self.state, self._pts_n, self._kt, y)
+        fmean, fvar, _, _ = _fantasy_marginal(
+            self.state, self.z[:, None], self.mean, self.var, kty, vy[0]
+        )
+        log_j, _ = _gp_marginal_log_j(
+            self.state, fmean, fvar, None, None, self.pts, self.bounds, smoothing, self.c
+        )
+        return log_mean_wj(
+            self.is_sample.log_weights, log_j.reshape(len(self.z), len(self.x_disc), -1)
+        )[0]
 
     def value_at(self, y):
         """Discrete knowledge gradient at one candidate ``y``, and the
         per-fantasy index of the best grid design."""
-        st = self.state
-        y = np.asarray(y, float)
-        kty = self._cross_cov(y)
-        _, vy = st.posterior(y[None, :])
-        vy = max(float(vy[0]), self.floor)
-        denom = vy + st.hyperparams.noise_variance * st.transforms.output_std**2
-        coef = kty * np.sqrt(vy) / denom  # (Nt,)
-        # Fantasy means for all z at once: (Nv, Nt)
-        fmean = self.mean[None, :] + np.outer(self.z, coef)
-        log_phi, _, _, _ = _phi_terms(st, fmean, self.var - kty**2 / denom, self.c)
-        log_j = np.where(self.inside[None, :], log_phi, 0.0)
-        log_p, _ = log_mean_wj(
-            self.is_sample.log_weights, log_j.reshape(len(self.z), len(self.x_disc), -1)
-        )  # (Nv, Nx)
+        log_p = self.log_p_at(y, self.hard)
         best = np.max(_value_from_log_p(log_p, self.spec.use_log), axis=1)
+        argbest = np.argmin(log_p, axis=1)
         if np.any(best == np.inf):
-            return np.inf, None
-        return float(np.mean(best) - self.baseline), np.argmin(log_p, axis=1)
+            return np.inf, argbest
+        return float(np.mean(best) - self.baseline), argbest
+
+    def value_and_grad(self, y):
+        """``value_at`` and its envelope gradient w.r.t. ``y``: the gradient
+        of the fantasy-averaged value at the per-fantasy best grid designs,
+        their indices held fixed."""
+        value, argbest = self.value_at(y)
+        if not np.isfinite(value):
+            return value, np.zeros(len(self.bounds))
+        log_p, _, grad_y = _fantasy_log_p(
+            self.state, y, self.z, self.x_disc[argbest], self.is_sample, self.bounds,
+            self.hard, self.c,
+        )
+        return value, np.sum(_value_grad(log_p, grad_y, self.spec.use_log), axis=0) / len(self.z)
 
     def scan(self, ys):
-        """``value_at`` over candidates: (values, per-candidate argmax indices)."""
-        vals, args = zip(*(self.value_at(y) for y in ys))
-        return np.array(vals), list(args)
-
-
-def _fantasy_pn_with_grads(state, y, z, xs, is_sample, bounds, smoothing, c):
-    """Per-fantasy log failure probability at nominal designs ``xs`` (one per
-    fantasy), with gradients w.r.t. each x and w.r.t. the shared y.
-
-    Uses the closed-form conditioning of the posterior on the hypothetical
-    observation at ``y`` rather than materializing fantasy states, so that
-    gradients w.r.t. y are available analytically.
-
-    Returns (log_p (Nv,), grad_x (Nv, d), grad_y (Nv, d)).
-    """
-    z = np.asarray(z, float)
-    n_v = len(z)
-    n_u = len(is_sample)
-    pts = perturbed_grid(xs, is_sample)
-    d = pts.shape[1]
-
-    mean, var, dmean, dvar, kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
-    _, yvar, _, dyvar = state.posterior_with_grad(np.asarray(y, float)[None, :])
-    floor = NUGGET * state.transforms.output_std**2
-    vy = max(float(yvar[0]), floor)
-    dvy = dyvar[0] if yvar[0] > floor else np.zeros(d)
-    noise = state.hyperparams.noise_variance * state.transforms.output_std**2
-    denom = vy + noise
-    sq = np.sqrt(vy)
-
-    zz = np.repeat(z, n_u)  # (Nv*Nu,)
-    a = sq / denom  # scalar
-    da_dy = dvy * (noise - vy) / (2.0 * sq * denom**2)  # (d,)
-    fmean = mean + kty * zz * a
-    dfmean_dt = dmean + dk_dt * (zz * a)[:, None]
-    dfmean_dy = dk_dy * (zz * a)[:, None] + np.outer(kty * zz, da_dy)
-
-    log_phi, h, fsd, deg = _phi_terms(state, fmean, var - kty**2 / denom, c)
-    dfvar_dt = dvar - 2.0 * kty[:, None] * dk_dt / denom
-    dfvar_dy = -2.0 * kty[:, None] * dk_dy / denom + np.outer(kty**2 / denom**2, dvy)
-    dfvar_dt[deg] = 0.0
-    dfvar_dy[deg] = 0.0
-
-    iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, True)
-    log_j, ratio_h, ratio_iota = _smoothed_log_terms(
-        log_phi, h, iota, True, degenerate=deg
-    )
-    dh_dt = (dfmean_dt - (h / (2.0 * fsd))[:, None] * dfvar_dt) / fsd[:, None]
-    dh_dy = (dfmean_dy - (h / (2.0 * fsd))[:, None] * dfvar_dy) / fsd[:, None]
-    dlog_j = np.concatenate(
-        [ratio_h[:, None] * dh_dt + ratio_iota[:, None] * diota, ratio_h[:, None] * dh_dy],
-        axis=1,
-    )
-    log_p, grad = log_mean_wj(
-        is_sample.log_weights, log_j.reshape(n_v, n_u), dlog_j.reshape(n_v, n_u, 2 * d)
-    )
-    return log_p, grad[:, :d], grad[:, d:]
+        """``value_at`` over candidates."""
+        return np.array([self.value_at(y)[0] for y in ys])
 
 
 def oneshot_objective(state, joint, z_sample, is_sample, bounds, smoothing, c, use_log):
@@ -423,7 +435,7 @@ def oneshot_objective(state, joint, z_sample, is_sample, bounds, smoothing, c, u
     n_v = len(z_sample)
     joint = np.asarray(joint, float)
     y, xs = joint[:d], joint[d:].reshape(n_v, d)
-    log_p, grad_x, grad_y = _fantasy_pn_with_grads(
+    log_p, grad_x, grad_y = _fantasy_log_p(
         state, y, z_sample, xs, is_sample, bounds, smoothing, c
     )
     if use_log and np.any(np.isinf(log_p)):
@@ -438,7 +450,7 @@ def _kg_scan(ctx: AcqContext):
     """The set-up both KG strategies share: the fantasy workspace over a
     design grid and the discrete KG at the raw candidate sites.
 
-    Returns (scan, candidates, values, per-candidate argmax indices).
+    Returns (scan, candidates, values).
     """
     problem, spec, streams = ctx.problem, ctx.spec, ctx.streams
     bounds = problem.bounds
@@ -447,38 +459,23 @@ def _kg_scan(ctx: AcqContext):
     x_disc = _scale_to_box(streams.x_stream.take(spec.n_x), bounds)
     scan = _FantasyScan(ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, spec)
     cands = _scale_to_box(streams.x_stream.take(spec.raw_count(len(bounds))), bounds)
-    vals, args = scan.scan(cands)
-    return scan, cands, vals, args
+    return scan, cands, scan.scan(cands)
 
 
 def kg_discrete_next(ctx: AcqContext):
     """Select the next query by maximizing the discrete knowledge gradient
     over candidate sites, polished with the envelope gradient."""
-    state, problem, spec, streams = ctx.state, ctx.problem, ctx.spec, ctx.streams
+    problem, spec, streams = ctx.problem, ctx.spec, ctx.streams
     bounds = problem.bounds
-    d = bounds.shape[0]
-    scan, cands, vals, _ = _kg_scan(ctx)
+    scan, cands, vals = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
         return cands[int(np.argmax(np.isinf(vals)))], AcqDiagnostics(np.inf, "kg_mr_discrete")
     starts = boltzmann_restarts(
         cands, vals, RestartPlan(len(cands), spec.n_restarts), streams.restart_seed
     )
-    smoothing = SmoothingConfig(0.0, spec.rho)
-
-    def objective(y):
-        # Envelope gradient: differentiate through the per-fantasy argmax
-        # designs, holding the argmax indices fixed.
-        value, argbest = scan.value_at(y)
-        if not np.isfinite(value):
-            return value, np.zeros(d)
-        xs = scan.x_disc[argbest]
-        log_p, _, grad_y = _fantasy_pn_with_grads(
-            state, y, scan.z, xs, scan.is_sample, bounds, smoothing, problem.c
-        )
-        return value, np.sum(_value_grad(log_p, grad_y, spec.use_log), axis=0) / len(scan.z)
-
     y_next, y_val, _ = multistart_qn(
-        BoundedObjective(d, bounds, objective, sense="max"), starts, max_iters=50
+        BoundedObjective(len(bounds), bounds, scan.value_and_grad, sense="max"), starts,
+        max_iters=50,
     )
     return y_next, AcqDiagnostics(value=float(y_val), rule="kg_mr_discrete")
 
@@ -489,19 +486,17 @@ def kg_oneshot_next(ctx: AcqContext):
     state, problem, spec, streams = ctx.state, ctx.problem, ctx.spec, ctx.streams
     bounds = problem.bounds
     d = bounds.shape[0]
-    scan, cands, vals, args = _kg_scan(ctx)
+    scan, cands, vals = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
         return cands[int(np.argmax(np.isinf(vals)))], AcqDiagnostics(np.inf, "kg_mr_oneshot")
-    plan = RestartPlan(len(cands), spec.n_restarts)
-    chosen = boltzmann_restarts(cands, vals, plan, streams.restart_seed)
-    # Recover the per-fantasy argmax seeds for each chosen candidate.
-    idx_of = {tuple(c): a for c, a in zip(map(tuple, cands), args)}
-    starts = []
-    for y0 in chosen:
-        argbest = idx_of[tuple(y0)]
-        starts.append(np.concatenate([y0, scan.x_disc[argbest].reshape(-1)]))
-
     smoothing = SmoothingConfig.for_box(bounds, rho=spec.rho)
+    # Each chosen site starts with the per-fantasy best grid designs under the
+    # smoothing the joint objective is maximized under.
+    plan = RestartPlan(len(cands), spec.n_restarts)
+    starts = []
+    for y0 in boltzmann_restarts(cands, vals, plan, streams.restart_seed):
+        argbest = np.argmin(scan.log_p_at(y0, smoothing), axis=1)
+        starts.append(np.concatenate([y0, scan.x_disc[argbest].ravel()]))
     joint_bounds = np.vstack([bounds] * (1 + spec.n_v))
 
     def objective(joint):
@@ -522,13 +517,11 @@ def kg_oneshot_next(ctx: AcqContext):
     values = scan.grid_values(smoothing)
     y_next, xs = joint_best[:d], joint_best[d:].reshape(spec.n_v, d)
     keep = np.tile(scan.x_disc[np.argmax(values)], (spec.n_v, 1))
-    log_p = [
-        _fantasy_pn_with_grads(
-            state, y_next, scan.z, x, scan.is_sample, bounds, smoothing, problem.c
-        )[0]
-        for x in (xs, keep)
-    ]
-    per_fantasy = _value_from_log_p(np.array(log_p), spec.use_log)
+    log_p, _, _ = _fantasy_log_p(
+        state, y_next, np.tile(scan.z, 2), np.vstack([xs, keep]), scan.is_sample, bounds,
+        smoothing, problem.c, want_grad=False,
+    )
+    per_fantasy = _value_from_log_p(log_p.reshape(2, spec.n_v), spec.use_log)
     gain = float(np.mean(np.max(per_fantasy, axis=0)) - np.max(values))
     return y_next, AcqDiagnostics(value=gain, rule="kg_mr_oneshot")
 
@@ -538,10 +531,8 @@ def kg_oneshot_next(ctx: AcqContext):
 
 def _posterior_sd_with_grad(state, y):
     mean, var, dmean, dvar = state.posterior_with_grad(np.atleast_2d(y))
-    floor = NUGGET * state.transforms.output_std**2
-    sd = np.sqrt(np.maximum(var, floor))
-    dsd = np.where((var > floor)[:, None], dvar / (2.0 * sd[:, None]), 0.0)
-    return mean, sd, dmean, dsd
+    sd = np.sqrt(var)
+    return mean, sd, dmean, dvar / (2.0 * sd[:, None])
 
 
 def _multistart_from_scan(objective, bounds, batch_value, spec, streams):
@@ -577,8 +568,7 @@ def hc_next(ctx: AcqContext):
 
     def batch_log_alpha_f(ys):
         mean, var = state.posterior(ys)
-        sd = np.sqrt(np.maximum(var, NUGGET * state.transforms.output_std**2))
-        return std_normal_log_cdf(np.clip((c - mean) / sd, -_H_CLAMP, _H_CLAMP))
+        return std_normal_log_cdf(np.clip((c - mean) / np.sqrt(var), -_H_CLAMP, _H_CLAMP))
 
     if not np.any(feasible):
         y_next, val, _ = _multistart_from_scan(
@@ -638,7 +628,7 @@ def hc_next(ctx: AcqContext):
 
     def batch_alpha_mv(ys):
         _, var = state.posterior(ys)
-        return np.sqrt(np.maximum(var, 0.0))
+        return np.sqrt(var)
 
     y_mv, val_mv, _ = _multistart_from_scan(
         alpha_mv, bounds, batch_alpha_mv, spec, streams
@@ -699,8 +689,7 @@ def egra_next(ctx: AcqContext):
 
     def batch(ys):
         mean, var = state.posterior(ys)
-        sd = np.sqrt(np.maximum(var, NUGGET * state.transforms.output_std**2))
-        return expected_feasibility(mean, sd, c, kappa)
+        return expected_feasibility(mean, np.sqrt(var), c, kappa)
 
     y_next, val, _ = _multistart_from_scan(objective, bounds, batch, spec, ctx.streams)
     return y_next, AcqDiagnostics(value=float(val), rule="egra")
@@ -730,8 +719,7 @@ def ei_next(ctx: AcqContext):
 
     def batch(ys):
         mean, var = state.posterior(ys)
-        sd = np.sqrt(np.maximum(var, NUGGET * state.transforms.output_std**2))
-        return expected_improvement(mean, sd, incumbent)
+        return expected_improvement(mean, np.sqrt(var), incumbent)
 
     y_next, val, _ = _multistart_from_scan(objective, bounds, batch, ctx.spec, ctx.streams)
     return y_next, AcqDiagnostics(value=float(val), rule="ei")

@@ -343,7 +343,9 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
 
     If an incomplete trace exists for this repeat, the run resumes after the
     last complete record by replaying the stored observations; a row torn
-    by a crash mid-write is cut off first.
+    by a crash mid-write is cut off first. Every GP fit is a function of the
+    observations and a seed alone, so a resumed run writes the bytes of the
+    uninterrupted one.
     """
     problem = get_problem(config.problem, config.mode)
     spec = config.acquisition
@@ -369,13 +371,11 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
             writer.append(repeat_index, i + 1, "init", y=Y[i], v=v[i])
 
     sobol_seed = _child_seed(seed, "sobol")
-    warm = None
+    state = None  # the fit to (Y, v) when a checkpoint has made it already
     for n in range(len(v), config.n_tot):
         t0 = time.monotonic()
-        state = fit_map(
-            Y, v, bounds=problem.bounds, seed=_child_seed(seed, "fit", n), warm_start=warm
-        )
-        warm = state.hyperparams
+        if state is None:
+            state = fit_map(Y, v, bounds=problem.bounds, seed=_child_seed(seed, "fit", n))
         streams = IterationStreams.from_seed(_child_seed(seed, "acq", n), d)
         y_next, diag = next_point(
             AcqContext(state, problem, spec, streams, Y, v, sobol_seed)
@@ -387,17 +387,11 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
         is_checkpoint = ((n + 1 - problem.n_0) % config.rec_stride == 0) or (
             n + 1 == config.n_tot
         )
-        x_rec = p_hat = p_true = None
+        x_rec = p_hat = p_true = state = None
         if is_checkpoint:
-            post_state = fit_map(
-                Y,
-                v,
-                bounds=problem.bounds,
-                seed=_child_seed(seed, "fit", n + 1),
-                warm_start=warm,
-            )
+            state = fit_map(Y, v, bounds=problem.bounds, seed=_child_seed(seed, "fit", n + 1))
             x_rec, p_hat = recommend(
-                post_state,
+                state,
                 problem,
                 seed=_child_seed(seed, "rec", n),
                 tau=spec.tau,

@@ -22,7 +22,7 @@ from .numerics import (
     std_normal_log_cdf,
     std_normal_log_pdf,
 )
-from .surrogate import NUGGET, RFFPath, SurrogateState
+from .surrogate import RFFPath, SurrogateState
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _SQRT_PI = np.sqrt(np.pi)
@@ -209,7 +209,7 @@ def _phi_terms(state, mean, var, c):
     At the posterior-variance floor the value degenerates to the hard
     indicator of mean >= c. ``var`` may broadcast against ``mean``.
     """
-    floor = NUGGET * state.transforms.output_std**2
+    floor = state.variance_floor
     deg = var <= floor * (1.0 + 1e-6)
     sigma = np.sqrt(np.maximum(var, floor))
     h = (mean - c) / sigma
@@ -257,20 +257,33 @@ def _gp_log_j(state, pts, bounds, smoothing, c, want_grad):
 
 
 def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c):
-    """``_gp_log_j`` from a posterior marginal already computed at ``pts``;
-    d log J is computed (and returned) when ``dmean`` is given."""
+    """``_gp_log_j`` from a posterior marginal already computed at ``pts``.
+
+    Without gradients ``mean`` and ``var`` may carry leading axes over the
+    point axis (one row per fantasy, say), and log Phi is evaluated only where
+    the box indicator is positive: J = 1 elsewhere, whatever the posterior.
+    d log J is computed (and returned) when ``dmean`` is given. Its columns
+    may run past the d coordinates of a point (derivatives w.r.t. a fantasy
+    site, say); the indicator enters only the first d.
+    """
     want_grad = dmean is not None
-    log_phi, h, sigma, deg = _phi_terms(state, mean, var, c)
     iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, want_grad)
-    log_j, ratio_h, ratio_iota = _smoothed_log_terms(
-        log_phi, h, iota, want_grad, degenerate=deg
-    )
     if not want_grad:
+        keep = iota > 0.0
+        log_j = np.zeros_like(mean)
+        log_phi, h, _, _ = _phi_terms(state, mean[..., keep], var[..., keep], c)
+        if smoothing.delta > 0.0:  # at delta = 0 the kept iota are all 1
+            log_phi = _smoothed_log_terms(log_phi, h, iota[keep], False)[0]
+        log_j[..., keep] = log_phi
         return log_j, None
+    log_phi, h, sigma, deg = _phi_terms(state, mean, var, c)
+    log_j, ratio_h, ratio_iota = _smoothed_log_terms(log_phi, h, iota, True, degenerate=deg)
     dsigma = dvar / (2.0 * sigma[:, None])
     with np.errstate(invalid="ignore"):
         dh = np.nan_to_num((dmean - h[:, None] * dsigma) / sigma[:, None], nan=0.0)
-    return log_j, ratio_h[:, None] * dh + ratio_iota[:, None] * diota
+    dlog_j = ratio_h[:, None] * dh
+    dlog_j[:, : pts.shape[1]] += ratio_iota[:, None] * diota
+    return log_j, dlog_j
 
 
 def _rff_log_j(path, pts, bounds, smoothing, c, want_grad):

@@ -153,6 +153,12 @@ class SurrogateState:
     def dim(self) -> int:
         return len(self.transforms.input_lo)
 
+    @property
+    def variance_floor(self) -> float:
+        """The posterior-variance floor in original units: ``posterior`` and
+        ``posterior_with_grad`` never return a variance below it."""
+        return NUGGET * self.transforms.output_std**2
+
     # -- posterior ---------------------------------------------------------
 
     def _k_train(self, Pn):
@@ -459,14 +465,7 @@ def _nll_and_grad(theta, Xn, zc_raw, jitter):
     return -(mll + logprior), -grad
 
 
-def fit_map(
-    inputs,
-    targets,
-    bounds=None,
-    seed=0,
-    n_restarts: int = 5,
-    warm_start: GPHyperparams | None = None,
-) -> SurrogateState:
+def fit_map(inputs, targets, bounds=None, seed=0, n_restarts: int = 5) -> SurrogateState:
     """Fit MAP hyperparameters and return the resulting posterior state.
 
     Inputs are normalized to [0,1]^d (using ``bounds`` when given, else the
@@ -484,19 +483,8 @@ def fit_map(
     d = inputs.shape[1]
 
     rng = np.random.default_rng(seed)
-    starts = []
-    if warm_start is not None:
-        starts.append(
-            np.concatenate(
-                [
-                    [np.log(warm_start.output_scale_sq)],
-                    np.log(warm_start.lengthscales),
-                    [warm_start.constant_mean],
-                ]
-            )
-        )
     # Prior modes as a deterministic first start.
-    starts.append(
+    starts = [
         np.concatenate(
             [
                 [np.log((PRIOR_OUTPUT_SCALE_SQ[0] - 1) / PRIOR_OUTPUT_SCALE_SQ[1])],
@@ -504,7 +492,7 @@ def fit_map(
                 [0.0],
             ]
         )
-    )
+    ]
     while len(starts) < n_restarts + 1:
         s2 = rng.gamma(PRIOR_OUTPUT_SCALE_SQ[0], 1.0 / PRIOR_OUTPUT_SCALE_SQ[1])
         ls = rng.gamma(PRIOR_LENGTHSCALE[0], 1.0 / PRIOR_LENGTHSCALE[1], size=d)

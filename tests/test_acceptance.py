@@ -247,7 +247,7 @@ def test_criterion_05_kg_nonnegative(branin_state, branin_problem):
     x_disc = box_points(prob.bounds, spec.n_x, seed=21)
     scan = _FantasyScan(branin_state, x_disc, z_sample, sample, prob.bounds, prob.c, spec)
     ys = box_points(prob.bounds, 512, seed=22)
-    vals, _ = scan.scan(ys)
+    vals = scan.scan(ys)
     evaluations = len(vals)
     assert np.all(vals >= -1e-2)
 

@@ -7,12 +7,15 @@ import logging
 import numpy as np
 import pytest
 
+import relbo.acquisition as acquisition
 from conftest import fd_gradient_error
 from relbo.acquisition import (
     AcqContext,
     AcquisitionSpec,
     IterationStreams,
     _FantasyScan,
+    _fantasy_log_p,
+    _value_from_log_p,
     egra_next,
     ei_next,
     expected_feasibility,
@@ -27,6 +30,7 @@ from relbo.acquisition import (
 )
 from relbo.harness import _child_seed, initial_design
 from relbo.numerics import SobolStream, gaussian_qmc
+from relbo.optimizers import BoundedObjective, multistart_qn
 from relbo.problems import Problem, get_problem, make_gp_problem
 from relbo.reliability import (
     PerturbationModel,
@@ -175,8 +179,33 @@ class TestDiscreteKG:
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=31).take(100) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
-        vals, _ = scan.scan(ys)
+        vals = scan.scan(ys)
         assert np.all(vals >= -1e-2)
+
+    def test_envelope_gradient_matches_fd(self, branin_setup):
+        # With the per-fantasy best grid designs held fixed, the envelope
+        # gradient is the gradient of the fantasy-averaged value at them.
+        state, prob, spec, is_sample, z_sample, x_disc = branin_setup
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec)
+        span = prob.bounds[:, 1] - prob.bounds[:, 0]
+        ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=43).take(8) * span
+        checked = 0
+        for y in ys:
+            value, grad = scan.value_and_grad(y)
+            if not np.isfinite(value):
+                continue
+            xs = x_disc[scan.value_at(y)[1]]
+
+            def averaged(site):
+                log_p, _, _ = _fantasy_log_p(
+                    state, site, z_sample, xs, is_sample, prob.bounds, scan.hard, prob.c,
+                    want_grad=False,
+                )
+                return float(np.mean(_value_from_log_p(log_p, spec.use_log)))
+
+            assert fd_gradient_error(averaged, y, grad, span) < 1e-3
+            checked += 1
+        assert checked >= 5
 
     def test_antithetic_qmc_matches_plain_mc(self, branin_state, branin_problem):
         prob = branin_problem
@@ -260,8 +289,6 @@ class TestOneShotKG:
         )
         assert abs((v0 - scan.baseline) - disc_val) < 1e-8
 
-        from relbo.optimizers import BoundedObjective, multistart_qn
-
         joint_bounds = np.vstack([prob.bounds] * (1 + len(z_sample)))
         obj = BoundedObjective(
             len(joint_bounds),
@@ -282,16 +309,17 @@ class TestOneShotKG:
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=41).take(32) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
-        vals, _ = scan.scan(ys)
+        vals = scan.scan(ys)
         # A zero fantasy draw leaves the mean unchanged but still shrinks the
         # variance, so the value is only non-negative up to discretization.
         assert np.all(vals >= -1e-2)
 
-    def test_gain_nonnegative_when_inner_search_stops_short(self, branin_problem):
+    def test_gain_nonnegative_when_inner_search_stops_short(self, branin_problem, monkeypatch):
         # The kg-branin benchmark fixture at seed 3, operation 1, with one
         # restart: 30 observations and the streams run_bo derives for them.
-        # The joint search ends below the best grid design's value under the
-        # smoothed box indicator; the hard-indicator baseline made this -0.16.
+        # Seeded under the hard indicator, the joint search ended below the
+        # best grid design's value under the smoothed box indicator; the
+        # hard-indicator baseline made this -0.16.
         prob = branin_problem
         design_seed, fill_seed, base_seed = 1308534968, 677816824, 2133761440
         Y, v = initial_design(prob, design_seed)
@@ -303,9 +331,37 @@ class TestOneShotKG:
         spec = AcquisitionSpec(
             "kg_mr_oneshot", n_u=64, n_v=32, n_x=512, n_raw=64, n_restarts=1
         )
-        streams = IterationStreams.from_seed(_child_seed(base_seed, "acq", 30), 2)
-        _, diag = kg_oneshot_next(AcqContext(state, prob, spec, streams, Y, v))
+        seed = _child_seed(base_seed, "acq", 30)
+        searched = []
+
+        def recording_qn(objective, starts, **kwargs):
+            searched.append(starts)
+            return multistart_qn(objective, starts, **kwargs)
+
+        monkeypatch.setattr(acquisition, "multistart_qn", recording_qn)
+        _, diag = kg_oneshot_next(
+            AcqContext(state, prob, spec, IterationStreams.from_seed(seed, 2), Y, v)
+        )
         assert diag.value >= -1e-6
+
+        # The search starts at least as high as keeping the best grid design
+        # under the smoothing it runs under, in every fantasy.
+        streams = IterationStreams.from_seed(seed, 2)
+        is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+        z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+        x_disc = prob.bounds[:, 0] + streams.x_stream.take(spec.n_x) * (
+            prob.bounds[:, 1] - prob.bounds[:, 0]
+        )
+        scan = _FantasyScan(state, x_disc, z, is_sample, prob.bounds, prob.c, spec)
+        smoothing = SmoothingConfig.for_box(prob.bounds, rho=spec.rho)
+        keep = np.tile(x_disc[np.argmax(scan.grid_values(smoothing))], spec.n_v)
+        (starts,) = searched
+        for start in starts:
+            at_start, at_keep = (
+                oneshot_objective(state, j, z, is_sample, prob.bounds, smoothing, prob.c, True)[0]
+                for j in (start, np.concatenate([start[:2], keep]))
+            )
+            assert at_start >= at_keep - 1e-9
 
     def test_next_point_in_box_and_deterministic(self, branin_state, branin_problem):
         spec = small_spec("kg_mr_oneshot", n_v=4, n_raw=16, n_restarts=2)

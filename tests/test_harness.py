@@ -268,26 +268,35 @@ class TestRunBo:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_resume_after_truncation_matches_full_run(self, tmp_path):
-        cfg_full = sobol_config(tmp_path / "full")
-        full = run_bo(cfg_full, 0)
-        full_lines = full.read_text().splitlines(keepends=True)
-
-        # Keep the header, the initial design and the first two iterations,
-        # then optionally part of the third, torn inside a y or the v cell.
-        kept = "".join(full_lines[: 1 + 6 + 2])
-        cells = full_lines[1 + 6 + 2].split(",")
-        header = full_lines[0].split(",")
-        torn = {"": ""}
-        for col in ("y_1", "v"):
-            j = header.index(col)
-            torn[col] = ",".join(cells[:j] + [cells[j][: len(cells[j]) // 2]])
-        for col, tail in torn.items():
-            cfg_res = sobol_config(tmp_path / f"res_{col}")
-            partial = cfg_res.out_dir / f"trace_{cfg_res.hash()}_r0.csv"
-            partial.parent.mkdir(parents=True)
-            partial.write_text(kept + tail)
-            resumed = run_bo(cfg_res, 0)
-            assert resumed.read_bytes() == full.read_bytes(), col
+        # The sobol run fits nothing that steers it; the ei run picks every
+        # point from a fit, so a fit that depended on earlier fits (a warm
+        # start, say) would resume to other bytes.
+        ei = dict(
+            acquisition=AcquisitionSpec("ei", n_u=32, n_raw=64, n_restarts=4),
+            n_tot=14,
+            rec_stride=1,
+        )
+        for kind, overrides, cuts in (("sobol", {}, (2,)), ("ei", ei, (4, 7))):
+            full = run_bo(sobol_config(tmp_path / f"{kind}_full", **overrides), 0)
+            full_lines = full.read_text().splitlines(keepends=True)
+            header = full_lines[0].split(",")
+            for n_kept in cuts:
+                # Keep the header, the initial design and the first n_kept
+                # iterations, then optionally part of the next, torn inside a
+                # y or the v cell.
+                kept = "".join(full_lines[: 1 + 6 + n_kept])
+                cells = full_lines[1 + 6 + n_kept].split(",")
+                torn = {"": ""}
+                for col in ("y_1", "v"):
+                    j = header.index(col)
+                    torn[col] = ",".join(cells[:j] + [cells[j][: len(cells[j]) // 2]])
+                for col, tail in torn.items():
+                    cfg_res = sobol_config(tmp_path / f"{kind}_{n_kept}_{col}", **overrides)
+                    partial = cfg_res.out_dir / f"trace_{cfg_res.hash()}_r0.csv"
+                    partial.parent.mkdir(parents=True)
+                    partial.write_text(kept + tail)
+                    resumed = run_bo(cfg_res, 0)
+                    assert resumed.read_bytes() == full.read_bytes(), (kind, n_kept, col)
 
     def test_repeats_differ(self, tmp_path):
         cfg = sobol_config(tmp_path)

@@ -9,12 +9,11 @@ from scipy.linalg import cho_solve
 
 import relbo.numerics as numerics
 from conftest import fd_gradient_error
-from relbo.acquisition import _fantasy_pn_with_grads
+from relbo.acquisition import _fantasy_log_p
 from relbo.numerics import SobolStream
 from relbo.reliability import ISSample, SmoothingConfig
 from relbo.surrogate import (
     NOISE_VARIANCE,
-    NUGGET,
     GPHyperparams,
     SurrogateState,
     Transforms,
@@ -247,7 +246,7 @@ class TestFusedPass:
         st = noiseless_state
         pts = np.vstack([st.train_inputs, box_points(st, 20, 1)])
         fused = st.cross_cov_with_grad(pts, st.train_inputs[0])
-        floor = NUGGET * st.transforms.output_std**2
+        floor = st.variance_floor
         assert np.any(fused[1] == floor)  # the clamped mask applies
         for got, want in zip(fused, two_pass_cross_cov(st, pts, st.train_inputs[0]), strict=True):
             np.testing.assert_array_equal(got, want)
@@ -261,9 +260,9 @@ class TestFusedPass:
         xs, z = st.train_inputs[:4], np.array([-1.0, -0.2, 0.4, 1.3])
         args = (st, np.array([0.52, 0.47]), z, xs, sample, [[0, 1], [0, 1]],
                 SmoothingConfig(0.05), 0.4)
-        fused = _fantasy_pn_with_grads(*args)
+        fused = _fantasy_log_p(*args)
         monkeypatch.setattr(SurrogateState, "cross_cov_with_grad", two_pass_cross_cov)
-        for got, want in zip(fused, _fantasy_pn_with_grads(*args), strict=True):
+        for got, want in zip(fused, _fantasy_log_p(*args), strict=True):
             np.testing.assert_array_equal(got, want)
 
 
