@@ -26,13 +26,7 @@ from .numerics import (
     std_normal_log_pdf,
     std_normal_pdf,
 )
-from .optimizers import (
-    BoundedObjective,
-    RestartPlan,
-    boltzmann_restarts,
-    direct_maximize,
-    multistart_qn,
-)
+from .optimizers import boltzmann_restarts, direct_maximize, multistart_qn
 from .problems import Problem
 from .reliability import (
     SmoothingConfig,
@@ -163,6 +157,49 @@ def _phi_ratio(log_pdf, log_cdf):
     return np.exp(np.clip(out, None, 700.0))
 
 
+def _raw_candidates(ctx: AcqContext):
+    """The spec's raw candidate count of Sobol' points in the problem's box."""
+    bounds = ctx.problem.bounds
+    return _scale_to_box(ctx.streams.x_stream.take(ctx.spec.raw_count(len(bounds))), bounds)
+
+
+def _maximize(score, ctx: AcqContext, bounds=None, cands=None, seed=None):
+    """Maximize a vectorised criterion over a box.
+
+    ``score(ys, want_grad)`` returns the values at the rows of ``ys`` and,
+    with ``want_grad``, their (m, d) gradients (None otherwise). The
+    candidates are scanned without gradients, the spec's restart count is
+    Boltzmann-selected among them and each is polished by L-BFGS. ``bounds``
+    defaults to the problem's box, ``cands`` to raw candidates in it and
+    ``seed`` to the iteration's restart seed.
+
+    Returns multistart_qn's (point, value, diagnostics).
+    """
+    bounds = ctx.problem.bounds if bounds is None else bounds
+    cands = _raw_candidates(ctx) if cands is None else cands
+    seed = ctx.streams.restart_seed if seed is None else seed
+    starts = boltzmann_restarts(cands, score(cands, False)[0], ctx.spec.n_restarts, seed)
+
+    def evaluate(y):
+        value, grad = score(y[None, :], True)
+        return value[0], grad[0]
+
+    return multistart_qn(evaluate, bounds, starts, sense="max")
+
+
+def _marginal_sd(state, ys, want_grad):
+    """Posterior mean and standard deviation at ``ys`` and, with
+    ``want_grad``, their gradients (None otherwise). Without gradients it
+    calls ``posterior``, which rounds differently from
+    ``posterior_with_grad``, so candidate scans keep their bytes."""
+    if not want_grad:
+        mean, var = state.posterior(ys)
+        return mean, np.sqrt(var), None, None
+    mean, var, dmean, dvar = state.posterior_with_grad(ys)
+    sd = np.sqrt(var)
+    return mean, sd, dmean, dvar / (2.0 * sd[:, None])
+
+
 # -- Thompson sampling -----------------------------------------------------
 
 
@@ -177,36 +214,36 @@ def ts_mr_next(ctx: AcqContext):
     is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
 
     # Stage 1: nominal design minimizing the path's log failure probability.
-    cands = _scale_to_box(streams.x_stream.take(spec.raw_count(d)), bounds)
+    cands = _raw_candidates(ctx)
     cand_vals = -estimate_ptilde_batch(path, cands, is_sample, bounds, smoothing, problem.c)
-    plan = RestartPlan(len(cands), spec.n_restarts)
-    starts = boltzmann_restarts(cands, cand_vals, plan, streams.restart_seed)
+    starts = boltzmann_restarts(cands, cand_vals, spec.n_restarts, streams.restart_seed)
 
     def x_objective(x):
         est = estimate_ptilde(path, x, is_sample, bounds, smoothing, problem.c)
         return est.log_p, est.grad_log_p
 
-    x_next, _, _ = multistart_qn(
-        BoundedObjective(d, bounds, x_objective, sense="min"), starts
-    )
+    x_next, _, _ = multistart_qn(x_objective, bounds, starts)
 
     # Stage 2: perturbation maximizing density times indicator variance,
     # constrained so the perturbed design stays in the box.
     u_bounds = np.column_stack([bounds[:, 0] - x_next, bounds[:, 1] - x_next])
     sigmas = problem.perturb.sigmas
 
-    def u_objective(u):
-        y = x_next + u
-        mean, var, dmean, dvar = state.posterior_with_grad(y[None, :])
-        sd = np.sqrt(var[0])
-        h = np.clip((mean[0] - problem.c) / sd, -_H_CLAMP, _H_CLAMP)
-        dh = (dmean[0] - h * dvar[0] / (2.0 * sd**2) * sd) / sd
+    # Both modes use posterior_with_grad and this dh form: _marginal_sd rounds
+    # differently and moves the selected perturbations.
+    def u_score(us, want_grad):
+        mean, var, dmean, dvar = state.posterior_with_grad(x_next + us)
+        sd = np.sqrt(var)
+        h = np.clip((mean - problem.c) / sd, -_H_CLAMP, _H_CLAMP)
         lp = std_normal_log_pdf(h)
         lphi = std_normal_log_cdf(h)
         lcphi = std_normal_log_cdf(-h)
-        val = problem.perturb.log_density(u[None, :])[0] + lphi + lcphi
-        grad = -u / sigmas**2 + (_phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi)) * dh
-        return float(val), grad
+        val = problem.perturb.log_density(us) + lphi + lcphi
+        if not want_grad:
+            return val, None
+        dh = (dmean - h[:, None] * dvar / (2.0 * sd**2)[:, None] * sd[:, None]) / sd[:, None]
+        ratio = _phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi)
+        return val, -us / sigmas**2 + ratio[:, None] * dh
 
     u_qmc = gaussian_qmc(streams.u_stream, 64, np.zeros(d), sigmas)[:, :d]
     u_cands = np.vstack([
@@ -214,12 +251,8 @@ def ts_mr_next(ctx: AcqContext):
         np.clip(u_qmc, u_bounds[:, 0], u_bounds[:, 1]),
         _scale_to_box(streams.x_stream.take(64), u_bounds),
     ])
-    u_vals = np.array([u_objective(u)[0] for u in u_cands])
-    u_starts = boltzmann_restarts(
-        u_cands, u_vals, RestartPlan(len(u_cands), spec.n_restarts), streams.restart_seed + 1
-    )
-    u_next, u_val, _ = multistart_qn(
-        BoundedObjective(d, u_bounds, u_objective, sense="max"), u_starts
+    u_next, u_val, _ = _maximize(
+        u_score, ctx, u_bounds, u_cands, seed=streams.restart_seed + 1
     )
 
     y = problem.perturb.combine(x_next, u_next)
@@ -458,7 +491,7 @@ def _kg_scan(ctx: AcqContext):
     z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
     x_disc = _scale_to_box(streams.x_stream.take(spec.n_x), bounds)
     scan = _FantasyScan(ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, spec)
-    cands = _scale_to_box(streams.x_stream.take(spec.raw_count(len(bounds))), bounds)
+    cands = _raw_candidates(ctx)
     return scan, cands, scan.scan(cands)
 
 
@@ -470,12 +503,9 @@ def kg_discrete_next(ctx: AcqContext):
     scan, cands, vals = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
         return cands[int(np.argmax(np.isinf(vals)))], AcqDiagnostics(np.inf, "kg_mr_discrete")
-    starts = boltzmann_restarts(
-        cands, vals, RestartPlan(len(cands), spec.n_restarts), streams.restart_seed
-    )
+    starts = boltzmann_restarts(cands, vals, spec.n_restarts, streams.restart_seed)
     y_next, y_val, _ = multistart_qn(
-        BoundedObjective(len(bounds), bounds, scan.value_and_grad, sense="max"), starts,
-        max_iters=50,
+        scan.value_and_grad, bounds, starts, sense="max", max_iters=50
     )
     return y_next, AcqDiagnostics(value=float(y_val), rule="kg_mr_discrete")
 
@@ -492,9 +522,8 @@ def kg_oneshot_next(ctx: AcqContext):
     smoothing = SmoothingConfig.for_box(bounds, rho=spec.rho)
     # Each chosen site starts with the per-fantasy best grid designs under the
     # smoothing the joint objective is maximized under.
-    plan = RestartPlan(len(cands), spec.n_restarts)
     starts = []
-    for y0 in boltzmann_restarts(cands, vals, plan, streams.restart_seed):
+    for y0 in boltzmann_restarts(cands, vals, spec.n_restarts, streams.restart_seed):
         argbest = np.argmin(scan.log_p_at(y0, smoothing), axis=1)
         starts.append(np.concatenate([y0, scan.x_disc[argbest].ravel()]))
     joint_bounds = np.vstack([bounds] * (1 + spec.n_v))
@@ -506,9 +535,7 @@ def kg_oneshot_next(ctx: AcqContext):
         )
 
     joint_best, _, _ = multistart_qn(
-        BoundedObjective(len(joint_bounds), joint_bounds, objective, sense="max"),
-        starts,
-        max_iters=100,
+        objective, joint_bounds, starts, sense="max", max_iters=100
     )
     # The gain is measured against the grid's best value under the smoothing
     # the joint objective is maximized under. Each fantasy keeps the better of
@@ -529,28 +556,11 @@ def kg_oneshot_next(ctx: AcqContext):
 # -- limit-state cascade ---------------------------------------------------
 
 
-def _posterior_sd_with_grad(state, y):
-    mean, var, dmean, dvar = state.posterior_with_grad(np.atleast_2d(y))
-    sd = np.sqrt(var)
-    return mean, sd, dmean, dvar / (2.0 * sd[:, None])
-
-
-def _multistart_from_scan(objective, bounds, batch_value, spec, streams):
-    """Maximize ``objective`` from Boltzmann-selected raw candidates."""
-    d = len(bounds)
-    cands = _scale_to_box(streams.x_stream.take(spec.raw_count(d)), bounds)
-    starts = boltzmann_restarts(
-        cands, batch_value(cands), RestartPlan(len(cands), spec.n_restarts),
-        streams.restart_seed,
-    )
-    return multistart_qn(BoundedObjective(d, bounds, objective, sense="max"), starts)
-
-
 def hc_next(ctx: AcqContext):
     """Four-rule cascade: feasibility probability when nothing feasible has
     been seen yet, otherwise limit-state spread, tunneling, then maximal
     variance -- accepting the first proposal far enough from every sample."""
-    state, spec, streams = ctx.state, ctx.spec, ctx.streams
+    state, spec = ctx.state, ctx.spec
     bounds, c = ctx.problem.bounds, ctx.problem.c
     d = bounds.shape[0]
     Y, v = np.atleast_2d(ctx.Y), np.asarray(ctx.v, float)
@@ -559,21 +569,17 @@ def hc_next(ctx: AcqContext):
     delta_band = spec.delta_band if spec.delta_band is not None else ctx.problem.delta_band
     feasible = v <= c
 
-    def log_alpha_f(y):
-        mean, sd, dmean, dsd = _posterior_sd_with_grad(state, y)
-        h = np.clip((c - mean[0]) / sd[0], -_H_CLAMP, _H_CLAMP)
-        dh = (-dmean[0] - h * dsd[0]) / sd[0]
+    def log_alpha_f(ys, want_grad):
+        mean, sd, dmean, dsd = _marginal_sd(state, ys, want_grad)
+        h = np.clip((c - mean) / sd, -_H_CLAMP, _H_CLAMP)
         lphi = std_normal_log_cdf(h)
-        return float(lphi), _phi_ratio(std_normal_log_pdf(h), lphi) * dh
-
-    def batch_log_alpha_f(ys):
-        mean, var = state.posterior(ys)
-        return std_normal_log_cdf(np.clip((c - mean) / np.sqrt(var), -_H_CLAMP, _H_CLAMP))
+        if not want_grad:
+            return lphi, None
+        dh = (-dmean - h[:, None] * dsd) / sd[:, None]
+        return lphi, _phi_ratio(std_normal_log_pdf(h), lphi)[:, None] * dh
 
     if not np.any(feasible):
-        y_next, val, _ = _multistart_from_scan(
-            log_alpha_f, bounds, batch_log_alpha_f, spec, streams
-        )
+        y_next, val, _ = _maximize(log_alpha_f, ctx)
         return y_next, AcqDiagnostics(value=float(np.exp(val)), rule="F")
 
     def min_dist(y, pts):
@@ -598,41 +604,30 @@ def hc_next(ctx: AcqContext):
     # Rule TN: feasibility probability times distance to feasible samples.
     Yf = Y[feasible]
 
-    def alpha_tn(y):
-        lf, dlf = log_alpha_f(y)
-        dists = np.linalg.norm(Yf - y, axis=1)
-        i = int(np.argmin(dists))
-        dist = max(dists[i], 1e-12)
-        grad = np.exp(lf) * ((y - Yf[i]) / dist / diag_len) + np.exp(lf) * dlf * (
-            dist / diag_len
-        )
-        return float(np.exp(lf) * dist / diag_len), grad
+    def alpha_tn(ys, want_grad):
+        lf, dlf = log_alpha_f(ys, want_grad)
+        rows = np.arange(len(ys))
+        diff = ys[:, None, :] - Yf[None, :, :]
+        dists = np.linalg.norm(diff, axis=2)
+        i = np.argmin(dists, axis=1)
+        dist = np.maximum(dists[rows, i], 1e-12)
+        f = np.exp(lf)
+        value = f * dist / diag_len
+        if not want_grad:
+            return value, None
+        f, dist = f[:, None], dist[:, None]
+        return value, f * (diff[rows, i] / dist / diag_len) + f * dlf * (dist / diag_len)
 
-    def batch_alpha_tn(ys):
-        lf = batch_log_alpha_f(ys)
-        dmin = np.min(
-            np.linalg.norm(ys[:, None, :] - Yf[None, :, :], axis=2), axis=1
-        )
-        return np.exp(lf) * dmin / diag_len
-
-    y_tn, val_tn, _ = _multistart_from_scan(
-        alpha_tn, bounds, batch_alpha_tn, spec, streams
-    )
+    y_tn, val_tn, _ = _maximize(alpha_tn, ctx)
     if separated(y_tn):
         return y_tn, AcqDiagnostics(value=float(val_tn), rule="TN")
 
     # Rule MV: maximal posterior standard deviation.
-    def alpha_mv(y):
-        _, sd, _, dsd = _posterior_sd_with_grad(state, y)
-        return float(sd[0]), dsd[0]
+    def alpha_mv(ys, want_grad):
+        _, sd, _, dsd = _marginal_sd(state, ys, want_grad)
+        return sd, dsd
 
-    def batch_alpha_mv(ys):
-        _, var = state.posterior(ys)
-        return np.sqrt(var)
-
-    y_mv, val_mv, _ = _multistart_from_scan(
-        alpha_mv, bounds, batch_alpha_mv, spec, streams
-    )
+    y_mv, val_mv, _ = _maximize(alpha_mv, ctx)
     if not separated(y_mv):
         log.warning(
             "cascade: all rules proposed points within eps_s of existing "
@@ -644,8 +639,9 @@ def hc_next(ctx: AcqContext):
 # -- expected feasibility --------------------------------------------------
 
 
-def expected_feasibility(mean, sd, c, kappa):
-    """E[max(eps - |c - f|, 0)] for f ~ N(mean, sd^2), eps = kappa*sd.
+def expected_feasibility(mean, sd, c, kappa, dmean=None, dsd=None):
+    """E[max(eps - |c - f|, 0)] for f ~ N(mean, sd^2), eps = kappa*sd, and
+    its (m, d) gradient from those of the mean and sd (None without them).
 
     Writing t = (c - mean)/sd, the band integral reduces to sd * B(t) with
     B(t) = -t*[2*Phi(t) - Phi(t-k) - Phi(t+k)]
@@ -653,75 +649,55 @@ def expected_feasibility(mean, sd, c, kappa):
     """
     mean, sd = np.asarray(mean, float), np.asarray(sd, float)
     t = (c - mean) / sd
-    B = _ef_band(t, kappa)
-    return sd * B
-
-
-def _ef_band(t, kappa):
     tm, tp = t - kappa, t + kappa
     Phi, phi = std_normal_cdf, std_normal_pdf
-    return (
-        -t * (2.0 * Phi(t) - Phi(tm) - Phi(tp))
-        - (2.0 * phi(t) - phi(tm) - phi(tp))
-        + kappa * (Phi(tp) - Phi(tm))
-    )
-
-
-def _ef_band_grad(t, kappa):
-    # d/dt of the band integral: the phi terms cancel exactly.
-    Phi = std_normal_cdf
-    return -(2.0 * Phi(t) - Phi(t - kappa) - Phi(t + kappa))
+    spread = 2.0 * Phi(t) - Phi(tm) - Phi(tp)
+    B = -t * spread - (2.0 * phi(t) - phi(tm) - phi(tp)) + kappa * (Phi(tp) - Phi(tm))
+    if dmean is None:
+        return sd * B, None
+    dt = (-dmean - t[:, None] * dsd) / sd[:, None]
+    # dB/dt = -spread: the phi terms cancel exactly.
+    return sd * B, dsd * B[:, None] + (sd * -spread)[:, None] * dt
 
 
 def egra_next(ctx: AcqContext):
     """Maximize the expected feasibility of the limit-state band."""
-    state, spec = ctx.state, ctx.spec
-    bounds, c = ctx.problem.bounds, ctx.problem.c
-    kappa = spec.kappa
+    state, c, kappa = ctx.state, ctx.problem.c, ctx.spec.kappa
 
-    def objective(y):
-        mean, sd, dmean, dsd = _posterior_sd_with_grad(state, y)
-        t = (c - mean[0]) / sd[0]
-        dt = (-dmean[0] - t * dsd[0]) / sd[0]
-        B = float(_ef_band(np.array([t]), kappa)[0])
-        dB = float(_ef_band_grad(np.array([t]), kappa)[0])
-        return float(sd[0] * B), dsd[0] * B + sd[0] * dB * dt
+    def score(ys, want_grad):
+        mean, sd, dmean, dsd = _marginal_sd(state, ys, want_grad)
+        return expected_feasibility(mean, sd, c, kappa, dmean, dsd)
 
-    def batch(ys):
-        mean, var = state.posterior(ys)
-        return expected_feasibility(mean, np.sqrt(var), c, kappa)
-
-    y_next, val, _ = _multistart_from_scan(objective, bounds, batch, spec, ctx.streams)
+    y_next, val, _ = _maximize(score, ctx)
     return y_next, AcqDiagnostics(value=float(val), rule="egra")
 
 
 # -- simple baselines ------------------------------------------------------
 
 
-def expected_improvement(mean, sd, incumbent):
-    """Closed-form expected improvement below the incumbent (minimization)."""
+def expected_improvement(mean, sd, incumbent, dmean=None, dsd=None):
+    """Closed-form expected improvement below the incumbent (minimization),
+    and its (m, d) gradient from those of the mean and sd (None without
+    them)."""
     mean, sd = np.asarray(mean, float), np.asarray(sd, float)
     u = (incumbent - mean) / sd
-    return (incumbent - mean) * std_normal_cdf(u) + sd * std_normal_pdf(u)
+    cdf, pdf = std_normal_cdf(u), std_normal_pdf(u)
+    value = (incumbent - mean) * cdf + sd * pdf
+    if dmean is None:
+        return value, None
+    return value, -cdf[:, None] * dmean + pdf[:, None] * dsd
 
 
 def ei_next(ctx: AcqContext):
     """Maximize the expected improvement below the best observed value."""
-    state, bounds = ctx.state, ctx.problem.bounds
+    state = ctx.state
     incumbent = float(np.min(np.asarray(ctx.v, float)))
 
-    def objective(y):
-        mean, sd, dmean, dsd = _posterior_sd_with_grad(state, y)
-        u = (incumbent - mean[0]) / sd[0]
-        val = (incumbent - mean[0]) * std_normal_cdf(u) + sd[0] * std_normal_pdf(u)
-        grad = -std_normal_cdf(u) * dmean[0] + std_normal_pdf(u) * dsd[0]
-        return float(val), grad
+    def score(ys, want_grad):
+        mean, sd, dmean, dsd = _marginal_sd(state, ys, want_grad)
+        return expected_improvement(mean, sd, incumbent, dmean, dsd)
 
-    def batch(ys):
-        mean, var = state.posterior(ys)
-        return expected_improvement(mean, np.sqrt(var), incumbent)
-
-    y_next, val, _ = _multistart_from_scan(objective, bounds, batch, ctx.spec, ctx.streams)
+    y_next, val, _ = _maximize(score, ctx)
     return y_next, AcqDiagnostics(value=float(val), rule="ei")
 
 

@@ -20,7 +20,7 @@ import scipy
 
 from .acquisition import AcqContext, AcquisitionSpec, IterationStreams, next_point
 from .numerics import SobolStream
-from .optimizers import BoundedObjective, RestartPlan, boltzmann_restarts, multistart_qn
+from .optimizers import boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
 from .reliability import (
     SmoothingConfig,
@@ -192,7 +192,6 @@ def initial_design(problem: Problem, seed: int):
 def recommend(
     state,
     problem: Problem,
-    stage: str = "auto",
     seed: int = 0,
     tau: float | None = None,
     restarts: int = 10,
@@ -203,15 +202,13 @@ def recommend(
 
     Scans Sobol' candidates with a coarse importance sample, Boltzmann-selects
     restarts (argmax always included) and polishes with bounded quasi-Newton;
-    for higher-dimensional problems ("fine" stage) the winner is re-polished
-    under a much larger sample.
+    for problems of more than two dimensions the winner is re-polished under
+    a much larger sample (the fine stage).
 
     Returns (x_rec, p_hat at x_rec).
     """
     bounds = problem.bounds
     d = problem.dim
-    if stage == "auto":
-        stage = "fine" if d > 2 else "coarse"
     if tau is None:
         tau = problem.default_tau
     smoothing = SmoothingConfig.for_box(bounds)
@@ -228,24 +225,22 @@ def recommend(
         iota = smooth_feasibility(perturbed_grid(cands, sample), bounds, smoothing.delta)
         mass = np.mean(np.exp(sample.log_weights) * iota.reshape(len(cands), -1), axis=1)
         return cands[int(np.argmax(mass))], 0.0
-    starts = boltzmann_restarts(
-        cands, -log_p, RestartPlan(len(cands), restarts), _child_seed(seed, 3)
-    )
+    starts = boltzmann_restarts(cands, -log_p, restarts, _child_seed(seed, 3))
 
-    def objective(is_sample):
+    def polish(is_sample, starts, **kwargs):
         def log_p_and_grad(x):
             est = estimate_pn(state, x, is_sample, bounds, smoothing, problem.c)
             return est.log_p, est.grad_log_p
 
-        return BoundedObjective(d, bounds, log_p_and_grad, sense="min")
+        return multistart_qn(log_p_and_grad, bounds, starts, **kwargs)
 
-    x_best, val, _ = multistart_qn(objective(sample), starts)
-    if stage == "fine":
+    x_best, val, _ = polish(sample, starts)
+    if d > 2:
         fine_stream = SobolStream(
             2 * ((d + 1) // 2), scramble_seed=_child_seed(seed, 4)
         )
         fine_sample = draw_is_sample(problem.perturb, tau, n_u_fine, fine_stream)
-        x_best, val, _ = multistart_qn(objective(fine_sample), [x_best], max_iters=50)
+        x_best, val, _ = polish(fine_sample, [x_best], max_iters=50)
     return x_best, float(np.exp(val))
 
 

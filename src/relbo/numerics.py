@@ -32,8 +32,8 @@ class SobolStream:
     ``(dimension, scramble_seed)`` the emitted sequence is identical across
     runs, regardless of how requests are batched.
 
-    Single-writer: callers that want to consume points in parallel should
-    ``clone()`` and advance the clones independently.
+    Single-writer: ``take`` and ``skip`` advance one cursor, so a consumer
+    that needs its own position opens its own stream and ``skip``s to it.
     """
 
     def __init__(self, dimension: int, scramble_seed: int | None = None):
@@ -50,10 +50,6 @@ class SobolStream:
             self._engine = qmc.Sobol(
                 dimension, scramble=True, rng=np.random.default_rng(scramble_seed)
             )
-
-    def clone(self) -> "SobolStream":
-        """An independent stream positioned at the same cursor."""
-        return SobolStream(self.dimension, self.scramble_seed).skip(self.cursor)
 
     def skip(self, count: int) -> "SobolStream":
         """Advance the cursor by ``count`` points without drawing them; the

@@ -17,40 +17,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class BoundedObjective:
-    """A box-constrained objective with optional analytic gradient.
-
-    ``evaluate`` maps a point to ``(value, gradient)``; gradient may be None
-    for derivative-free use. ``sense`` is "min" or "max".
-    """
-
-    dimension: int
-    bounds: np.ndarray  # (d, 2) array of [lower, upper]
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray | None]]
-    sense: str = "min"
-
-    def __post_init__(self):
-        self.bounds = np.asarray(self.bounds, dtype=float)
-        if self.bounds.shape != (self.dimension, 2):
-            raise ValueError("bounds must have shape (dimension, 2)")
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
-
-
-@dataclass
-class RestartPlan:
-    n_raw: int
-    n_restarts: int
-    temperature: float | None = None  # None: adaptive (std of finite values)
-
-    def __post_init__(self):
-        if self.n_restarts > self.n_raw:
-            raise ValueError("n_restarts must be <= n_raw")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-
-
-@dataclass
 class StartDiagnostics:
     start: np.ndarray
     point: np.ndarray | None
@@ -64,22 +30,29 @@ class _NaNGradient(Exception):
 
 
 def multistart_qn(
-    obj: BoundedObjective,
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    bounds,
     starts: Sequence[np.ndarray],
+    sense: str = "min",
     max_iters: int = 200,
     gtol: float = 1e-7,
 ) -> tuple[np.ndarray, float, list[StartDiagnostics]]:
     """Bounded quasi-Newton (L-BFGS-B) from each start; return the best local
-    optimum in the objective's sense.
+    optimum in ``sense`` ("min" or "max").
 
-    A start whose gradient evaluates to NaN is abandoned and logged; the
-    remaining starts proceed. Deterministic given the starts.
+    ``evaluate`` maps a point to ``(value, gradient)``; ``bounds`` is a (d, 2)
+    array of [lower, upper]. A start whose gradient evaluates to NaN is
+    abandoned and logged; the remaining starts proceed. Deterministic given
+    the starts.
     """
-    sign = 1.0 if obj.sense == "min" else -1.0
-    lo, hi = obj.bounds[:, 0], obj.bounds[:, 1]
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    sign = 1.0 if sense == "min" else -1.0
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
 
     def wrapped(x):
-        v, g = obj.evaluate(np.asarray(x, dtype=float))
+        v, g = evaluate(np.asarray(x, dtype=float))
         if g is None:
             raise ValueError("multistart_qn requires gradients")
         g = np.asarray(g, dtype=float)
@@ -122,40 +95,39 @@ def multistart_qn(
 def boltzmann_restarts(
     candidates: np.ndarray,
     values: np.ndarray,
-    plan: RestartPlan,
-    rng_seed,
+    n_restarts: int,
+    seed,
 ) -> np.ndarray:
-    """Select ``plan.n_restarts`` candidates without replacement, favouring
-    high values, with the argmax always included.
+    """Select ``n_restarts`` candidates without replacement, favouring high
+    values, with the argmax always included.
 
-    Sampling weights are proportional to exp((v - max v) / T). T defaults to
-    the standard deviation of the finite values (scale-free); -inf values get
-    probability zero.
+    Sampling weights are proportional to exp((v - max v) / T), T the standard
+    deviation of the finite values (scale-free); -inf values get probability
+    zero.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     values = np.asarray(values, dtype=float)
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
+    if n_restarts > len(candidates):
+        raise ValueError("n_restarts must be <= the number of candidates")
     if np.any(np.isnan(values)) or np.any(values == np.inf):
         raise ValueError("values must be finite or -inf")
-    k = min(plan.n_restarts, len(candidates))
     finite = np.isfinite(values)
     if not np.any(finite):
         raise ValueError("no finite candidate values")
 
-    T = plan.temperature
-    if T is None:
-        T = float(np.std(values[finite]))
-        if T <= 0:
-            T = 1.0
+    T = float(np.std(values[finite]))
+    if T <= 0:
+        T = 1.0
     vmax = values[finite].max()
     logits = np.where(finite, (values - vmax) / T, -np.inf)
 
     # Gumbel top-k == sampling without replacement with these weights.
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     gumbel = rng.gumbel(size=len(values))
     keys = np.where(np.isfinite(logits), logits + gumbel, -np.inf)
-    order = np.argsort(-keys)[:k]
+    order = np.argsort(-keys)[:n_restarts]
     idx = list(order)
     best = int(np.argmax(np.where(finite, values, -np.inf)))
     if best not in idx:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .numerics import in_blocks
-from .optimizers import BoundedObjective, multistart_qn
+from .optimizers import multistart_qn
 
 NOISE_VARIANCE = 0.01**2  # standardized units, never fitted
 NUGGET = 1e-12  # posterior-variance floor, standardized units
@@ -164,30 +164,13 @@ class SurrogateState:
     def _k_train(self, Pn):
         return matern52(self.Xn, Pn, self.hyperparams)  # (n, m)
 
-    def posterior(self, points, full_cov=False):
-        """Posterior mean and (co)variance at ``points``, original units.
-
-        Returns (mean, cov) with cov an (m, m) matrix if ``full_cov`` else the
-        (m,) marginal variance vector.
-        """
-        hp, tr = self.hyperparams, self.transforms
-        P = np.atleast_2d(np.asarray(points, float))
-        Pn = tr.x_to_unit(P)
-        if not full_cov:
-            mean_std, cov_std = in_blocks(self._marginal, Pn, self.n)
-        elif self.n:
-            Ks = self._k_train(Pn)
-            mean_std = hp.constant_mean + Ks.T @ self.alpha
-            V = solve_triangular(self.chol, Ks, lower=True)  # (n, m)
-            cov_std = matern52(Pn, Pn, hp) - V.T @ V
-            cov_std = 0.5 * (cov_std + cov_std.T)
-            w, U = np.linalg.eigh(cov_std)
-            cov_std = (U * np.maximum(w, NUGGET)) @ U.T
-        else:
-            mean_std = np.full(len(P), hp.constant_mean)
-            cov_std = matern52(Pn, Pn, hp)
-        mean = tr.y_unstandardize(mean_std)
-        return mean, cov_std * tr.output_std**2
+    def posterior(self, points):
+        """Marginal posterior mean and variance at ``points``, original units,
+        each of shape (m,)."""
+        tr = self.transforms
+        Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
+        mean_std, var_std = in_blocks(self._marginal, Pn, self.n)
+        return tr.y_unstandardize(mean_std), var_std * tr.output_std**2
 
     def _marginal(self, Pn):
         """Standardized marginal mean and variance at normalized points."""
@@ -507,14 +490,10 @@ def fit_map(inputs, targets, bounds=None, seed=0, n_restarts: int = 5) -> Surrog
     )
     last_err = None
     for jitter in (0.0, 1e-8, 1e-6, 1e-4):
-        obj = BoundedObjective(
-            dimension=d + 2,
-            bounds=theta_bounds,
-            evaluate=lambda th, j=jitter: _nll_and_grad(th, Xn, zc_raw, j),
-            sense="min",
-        )
         try:
-            theta, val, _ = multistart_qn(obj, starts)
+            theta, val, _ = multistart_qn(
+                lambda th, j=jitter: _nll_and_grad(th, Xn, zc_raw, j), theta_bounds, starts
+            )
             if not np.isfinite(val):
                 raise np.linalg.LinAlgError("non-finite MAP objective")
             hp = GPHyperparams(

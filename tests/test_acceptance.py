@@ -280,7 +280,8 @@ def test_criterion_06_egra_closed_form():
         sd = rng.uniform(0.3, 2.0)
         c = mu + sd * rng.uniform(-2.0, 2.0)
         kappa = rng.uniform(0.5, 3.0)
-        closed = float(expected_feasibility(np.array([mu]), np.array([sd]), c, kappa)[0])
+        closed, _ = expected_feasibility(np.array([mu]), np.array([sd]), c, kappa)
+        closed = float(closed[0])
         draws = np.maximum(kappa * sd - np.abs(c - (mu + sd * z)), 0.0)
         se = draws.std() / np.sqrt(len(draws))
         assert abs(closed - draws.mean()) < 3 * se

@@ -50,12 +50,6 @@ class TestSobolStream:
         got_b = b.take(16)
         np.testing.assert_array_equal(got_a, got_b)
 
-    def test_clone_continues_in_lockstep(self):
-        a = SobolStream(2, scramble_seed=5)
-        a.take(9)
-        b = a.clone()
-        np.testing.assert_array_equal(a.take(8), b.take(8))
-
     @pytest.mark.parametrize("dim", [0, MAX_SOBOL_DIM + 1])
     def test_dimension_validation(self, dim):
         with pytest.raises(ValueError):

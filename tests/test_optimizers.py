@@ -6,13 +6,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from relbo.numerics import SobolStream
-from relbo.optimizers import (
-    BoundedObjective,
-    RestartPlan,
-    boltzmann_restarts,
-    direct_maximize,
-    multistart_qn,
-)
+from relbo.optimizers import boltzmann_restarts, direct_maximize, multistart_qn
 from relbo.problems import get_problem
 
 
@@ -27,14 +21,16 @@ def quadratic_bowl(m):
 
 class TestMultistartQn:
     def test_convex_quadratic(self):
-        obj = BoundedObjective(2, [[0, 1], [0, 1]], quadratic_bowl([0.3, 0.7]))
-        x, v, _ = multistart_qn(obj, [np.array([0.9, 0.1])])
+        x, v, _ = multistart_qn(
+            quadratic_bowl([0.3, 0.7]), [[0, 1], [0, 1]], [np.array([0.9, 0.1])]
+        )
         np.testing.assert_allclose(x, [0.3, 0.7], atol=1e-6)
         assert v < 1e-10
 
     def test_projects_exterior_optimum(self):
-        obj = BoundedObjective(2, [[0, 1], [0, 1]], quadratic_bowl([1.5, -0.2]))
-        x, _, _ = multistart_qn(obj, [np.array([0.5, 0.5])])
+        x, _, _ = multistart_qn(
+            quadratic_bowl([1.5, -0.2]), [[0, 1], [0, 1]], [np.array([0.5, 0.5])]
+        )
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-6)
 
     def test_branin_global_minimum(self):
@@ -59,27 +55,26 @@ class TestMultistartQn:
         starts = prob.bounds[:, 0] + SobolStream(2, scramble_seed=4).take(10) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
-        obj = BoundedObjective(2, prob.bounds, evaluate)
-        _, v, _ = multistart_qn(obj, list(starts))
+        _, v, _ = multistart_qn(evaluate, prob.bounds, list(starts))
         assert abs(v - 0.397887) < 1e-3
 
     def test_result_inside_bounds(self):
-        obj = BoundedObjective(2, [[0, 1], [0, 1]], quadratic_bowl([2.0, 2.0]))
-        x, _, _ = multistart_qn(obj, [np.array([0.1, 0.9])])
+        x, _, _ = multistart_qn(
+            quadratic_bowl([2.0, 2.0]), [[0, 1], [0, 1]], [np.array([0.1, 0.9])]
+        )
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
     def test_descends_from_every_start(self):
         starts = [np.array([0.9, 0.9]), np.array([0.05, 0.5])]
-        obj = BoundedObjective(2, [[0, 1], [0, 1]], quadratic_bowl([0.4, 0.4]))
-        _, v, _ = multistart_qn(obj, starts)
-        assert v <= min(obj.evaluate(s)[0] for s in starts)
+        bowl = quadratic_bowl([0.4, 0.4])
+        _, v, _ = multistart_qn(bowl, [[0, 1], [0, 1]], starts)
+        assert v <= min(bowl(s)[0] for s in starts)
 
     def test_maximize_sense(self):
         def evaluate(x):
             return -float(np.sum((x - 0.6) ** 2)), -2.0 * (x - 0.6)
 
-        obj = BoundedObjective(1, [[0, 1]], evaluate, sense="max")
-        x, v, _ = multistart_qn(obj, [np.array([0.1])])
+        x, v, _ = multistart_qn(evaluate, [[0, 1]], [np.array([0.1])], sense="max")
         np.testing.assert_allclose(x, [0.6], atol=1e-6)
         assert abs(v) < 1e-10
 
@@ -89,8 +84,7 @@ class TestMultistartQn:
                 return np.nan, np.array([np.nan])
             return float((x[0] - 0.7) ** 2), np.array([2 * (x[0] - 0.7)])
 
-        obj = BoundedObjective(1, [[0, 1]], evaluate)
-        x, _, diags = multistart_qn(obj, [np.array([0.05]), np.array([0.9])])
+        x, _, diags = multistart_qn(evaluate, [[0, 1]], [np.array([0.05]), np.array([0.9])])
         np.testing.assert_allclose(x, [0.7], atol=1e-6)
         assert any(d.status == "nan-gradient" for d in diags)
 
@@ -98,22 +92,17 @@ class TestMultistartQn:
         def evaluate(x):
             return np.nan, np.array([np.nan])
 
-        obj = BoundedObjective(1, [[0, 1]], evaluate)
         with pytest.raises(RuntimeError):
-            multistart_qn(obj, [np.array([0.5])])
+            multistart_qn(evaluate, [[0, 1]], [np.array([0.5])])
 
-    def test_bounds_shape_validation(self):
+    def test_sense_validation(self):
         with pytest.raises(ValueError):
-            BoundedObjective(2, [[0, 1]], quadratic_bowl([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            BoundedObjective(1, [[0, 1]], quadratic_bowl([0.0]), sense="up")
+            multistart_qn(quadratic_bowl([0.0]), [[0, 1]], [np.array([0.5])], sense="up")
 
 
 class TestBoltzmannRestarts:
     def test_single_candidate(self):
-        got = boltzmann_restarts(
-            np.array([[0.4]]), np.array([1.0]), RestartPlan(1, 1), 0
-        )
+        got = boltzmann_restarts(np.array([[0.4]]), np.array([1.0]), 1, 0)
         np.testing.assert_array_equal(got, [[0.4]])
 
     def test_argmax_always_included(self):
@@ -121,15 +110,13 @@ class TestBoltzmannRestarts:
         for trial in range(50):
             cands = rng.uniform(size=(32, 2))
             vals = rng.normal(size=32)
-            got = boltzmann_restarts(cands, vals, RestartPlan(32, 4), trial)
+            got = boltzmann_restarts(cands, vals, 4, trial)
             best = cands[np.argmax(vals)]
             assert any(np.array_equal(row, best) for row in got)
 
     def test_dominant_value_selected(self):
         cands = np.array([[0.0], [1.0]])
-        got = boltzmann_restarts(
-            cands, np.array([0.0, 100.0]), RestartPlan(2, 1, temperature=1.0), 3
-        )
+        got = boltzmann_restarts(cands, np.array([0.0, 100.0]), 1, 3)
         np.testing.assert_array_equal(got, [[1.0]])
 
     def test_inclusion_monotone_in_rank(self):
@@ -139,7 +126,7 @@ class TestBoltzmannRestarts:
         vals = rng.normal(size=n)
         counts = np.zeros(n)
         for trial in range(2000):
-            got = boltzmann_restarts(cands, vals, RestartPlan(n, 10), trial)
+            got = boltzmann_restarts(cands, vals, 10, trial)
             counts[got[:, 0].astype(int)] += 1
         rho, _ = spearmanr(vals, counts)
         assert rho > 0.9
@@ -148,16 +135,14 @@ class TestBoltzmannRestarts:
         cands = np.array([[0.0], [1.0], [2.0]])
         vals = np.array([-np.inf, 0.0, 1.0])
         for trial in range(20):
-            got = boltzmann_restarts(cands, vals, RestartPlan(3, 2), trial)
+            got = boltzmann_restarts(cands, vals, 2, trial)
             assert 0.0 not in got[:, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RestartPlan(4, 8)
+            boltzmann_restarts(np.zeros((4, 1)), np.zeros(4), 8, 0)
         with pytest.raises(ValueError):
-            RestartPlan(8, 4, temperature=0.0)
-        with pytest.raises(ValueError):
-            boltzmann_restarts(np.zeros((2, 1)), np.array([np.nan, 0.0]), RestartPlan(2, 1), 0)
+            boltzmann_restarts(np.zeros((2, 1)), np.array([np.nan, 0.0]), 1, 0)
 
 
 class TestDirectMaximize:

@@ -180,15 +180,6 @@ class TestPosterior:
         _, var = state.posterior(np.array([[0.5, 0.5]]))
         assert var[0] < 1.0
 
-    def test_full_cov_symmetric_psd(self, branin_state):
-        pts = branin_state.transforms.input_lo + SobolStream(2).take(16) * (
-            branin_state.transforms.input_scale
-        )
-        _, cov = branin_state.posterior(pts, full_cov=True)
-        np.testing.assert_allclose(cov, cov.T, atol=1e-10 * np.max(np.abs(cov)))
-        w = np.linalg.eigvalsh(cov)
-        assert w.min() > -1e-8 * max(w.max(), 1.0)
-
     def test_posterior_gradients_match_fd(self, branin_state):
         rng = np.random.default_rng(3)
         lo = branin_state.transforms.input_lo
