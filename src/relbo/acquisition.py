@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .numerics import (
     SobolStream,
@@ -32,7 +31,6 @@ from .reliability import (
     SmoothingConfig,
     _gp_marginal_log_j,
     draw_is_sample,
-    estimate_pn_batch,
     estimate_ptilde,
     estimate_ptilde_batch,
     log_mean_wj,
@@ -151,6 +149,12 @@ def _scale_to_box(unit_pts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bounds[:, 0] + unit_pts * (bounds[:, 1] - bounds[:, 0])
 
 
+def _clamp_h(h):
+    """h clipped to +-_H_CLAMP, and where it was clipped: there a value in h
+    is flat, so its gradient is zero."""
+    return np.clip(h, -_H_CLAMP, _H_CLAMP), np.abs(h) > _H_CLAMP
+
+
 def _phi_ratio(log_pdf, log_cdf):
     """phi(h)/Phi(h) (or the complement) computed stably via log values."""
     out = np.asarray(log_pdf - log_cdf, float)
@@ -189,9 +193,7 @@ def _maximize(score, ctx: AcqContext, bounds=None, cands=None, seed=None):
 
 def _marginal_sd(state, ys, want_grad):
     """Posterior mean and standard deviation at ``ys`` and, with
-    ``want_grad``, their gradients (None otherwise). Without gradients it
-    calls ``posterior``, which rounds differently from
-    ``posterior_with_grad``, so candidate scans keep their bytes."""
+    ``want_grad``, their gradients (None otherwise)."""
     if not want_grad:
         mean, var = state.posterior(ys)
         return mean, np.sqrt(var), None, None
@@ -229,20 +231,17 @@ def ts_mr_next(ctx: AcqContext):
     u_bounds = np.column_stack([bounds[:, 0] - x_next, bounds[:, 1] - x_next])
     sigmas = problem.perturb.sigmas
 
-    # Both modes use posterior_with_grad and this dh form: _marginal_sd rounds
-    # differently and moves the selected perturbations.
     def u_score(us, want_grad):
-        mean, var, dmean, dvar = state.posterior_with_grad(x_next + us)
-        sd = np.sqrt(var)
-        h = np.clip((mean - problem.c) / sd, -_H_CLAMP, _H_CLAMP)
+        mean, sd, dmean, dsd = _marginal_sd(state, x_next + us, want_grad)
+        h, clamped = _clamp_h((mean - problem.c) / sd)
         lp = std_normal_log_pdf(h)
         lphi = std_normal_log_cdf(h)
         lcphi = std_normal_log_cdf(-h)
         val = problem.perturb.log_density(us) + lphi + lcphi
         if not want_grad:
             return val, None
-        dh = (dmean - h[:, None] * dvar / (2.0 * sd**2)[:, None] * sd[:, None]) / sd[:, None]
-        ratio = _phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi)
+        dh = (dmean - h[:, None] * dsd) / sd[:, None]
+        ratio = np.where(clamped, 0.0, _phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi))
         return val, -us / sigmas**2 + ratio[:, None] * dh
 
     u_qmc = gaussian_qmc(streams.u_stream, 64, np.zeros(d), sigmas)[:, :d]
@@ -276,31 +275,6 @@ def _value_from_log_p(log_p, use_log):
 def _value_grad(log_p, grad_log_p, use_log):
     """Per-fantasy gradients of the value function from those of log P."""
     return -grad_log_p if use_log else -np.exp(log_p)[:, None] * grad_log_p
-
-
-def kg_discrete_value(
-    state, y, spec, x_disc, z_sample, is_sample, bounds, c, baseline=None
-):
-    """One-step expected gain in the best achievable value over a finite
-    design grid, from a hypothetical observation at ``y``.
-
-    Reference route: conditions the surrogate on each fantasy observation and
-    re-estimates the failure probability over the grid. The bounds smoothing
-    is zero here (the grid is fixed, no gradients needed).
-    """
-    smoothing = SmoothingConfig(0.0, spec.rho)
-    if baseline is None:
-        base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, smoothing, c)
-        baseline = float(np.max(_value_from_log_p(base_log, spec.use_log)))
-    total = 0.0
-    for z in z_sample:
-        fant = state.fantasize(y, float(z))
-        log_p = estimate_pn_batch(fant, x_disc, is_sample, bounds, smoothing, c)
-        best = np.max(_value_from_log_p(log_p, spec.use_log))
-        if best == np.inf:
-            return np.inf
-        total += best
-    return total / len(z_sample) - baseline
 
 
 def _fantasy_marginal(state, z, mean, var, kty, vy, grads=None):
@@ -341,7 +315,7 @@ def _cross_cov(state, pts_n, kt, y):
     yn = tr.x_to_unit(np.asarray(y, float)).reshape(1, -1)
     kty = matern52(pts_n, yn, hp)[:, 0]
     if state.n:
-        kty = kty - kt @ cho_solve((state.chol, True), matern52(state.Xn, yn, hp)[:, 0])
+        kty = kty - kt @ state.kinv(matern52(state.Xn, yn, hp)[:, 0])
     return kty * tr.output_std**2
 
 
@@ -571,12 +545,13 @@ def hc_next(ctx: AcqContext):
 
     def log_alpha_f(ys, want_grad):
         mean, sd, dmean, dsd = _marginal_sd(state, ys, want_grad)
-        h = np.clip((c - mean) / sd, -_H_CLAMP, _H_CLAMP)
+        h, clamped = _clamp_h((c - mean) / sd)
         lphi = std_normal_log_cdf(h)
         if not want_grad:
             return lphi, None
         dh = (-dmean - h[:, None] * dsd) / sd[:, None]
-        return lphi, _phi_ratio(std_normal_log_pdf(h), lphi)[:, None] * dh
+        ratio = np.where(clamped, 0.0, _phi_ratio(std_normal_log_pdf(h), lphi))
+        return lphi, ratio[:, None] * dh
 
     if not np.any(feasible):
         y_next, val, _ = _maximize(log_alpha_f, ctx)

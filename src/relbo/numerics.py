@@ -169,12 +169,3 @@ def std_normal_log_pdf(x):
     x = _check_finite(x)
     return -0.5 * x * x - 0.5 * np.log(TWO_PI)
 
-
-def regularized_lower_gamma(shape: float, x):
-    """P(shape, x), the regularized lower incomplete gamma function."""
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be non-negative")
-    return special.gammainc(shape, x)

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import SobolStream
 from .reliability import PerturbationModel
 from .surrogate import GPHyperparams, prior_state
 
@@ -184,19 +183,6 @@ def make_gp_problem(d: int, seed: int | None = None, mode: str = "extreme") -> P
         mode=mode,
         _fn=gp_sample_fn(d, seed),
     )
-
-
-def calibrate_threshold(fn, bounds, target_fraction: float, n_scan: int = 2**16):
-    """The threshold making ``target_fraction`` of a Sobol' scan of the box
-    fail (exceed the threshold): the (1 - fraction)-quantile of the values."""
-    if not 0.0 < target_fraction < 1.0:
-        raise ValueError("target_fraction must be in (0, 1)")
-    bounds = np.asarray(bounds, float)
-    pts = bounds[:, 0] + SobolStream(len(bounds)).take(n_scan) * (
-        bounds[:, 1] - bounds[:, 0]
-    )
-    vals = np.asarray(fn(pts), float)
-    return float(np.quantile(vals, 1.0 - target_fraction))
 
 
 # -- registry --------------------------------------------------------------

@@ -247,13 +247,17 @@ def _smoothed_log_terms(log_phi, h, iota, want_grad, degenerate=None):
     return log_j, ratio_h, ratio_iota
 
 
-def _gp_log_j(state, pts, bounds, smoothing, c, want_grad):
-    """Per-point log J under the GP posterior marginal, and d log J / d point."""
+def _gp_log_j(state, xs, is_sample, bounds, smoothing, c, want_grad):
+    """log J under the GP posterior marginal at every design in ``xs`` plus
+    every perturbation, shape (m, n_u), and d log J / d design, (m, n_u, d)."""
+    pts = perturbed_grid(xs, is_sample)
     if want_grad:
         marginal = state.posterior_with_grad(pts)
     else:
         marginal = (*state.posterior(pts), None, None)
-    return _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
+    log_j, dlog_j = _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
+    shape = (len(pts) // len(is_sample), len(is_sample))
+    return log_j.reshape(shape), None if dlog_j is None else dlog_j.reshape(*shape, -1)
 
 
 def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c):
@@ -286,21 +290,25 @@ def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c)
     return log_j, dlog_j
 
 
-def _rff_log_j(path, pts, bounds, smoothing, c, want_grad):
-    """Per-point log J for a sample path, the threshold smoothed by
-    Phi((path - c) / rho), and d log J / d point."""
+def _rff_log_j(path, xs, is_sample, bounds, smoothing, c, want_grad):
+    """log J for a sample path at every design in ``xs`` plus every
+    perturbation, the threshold smoothed by Phi((path - c) / rho), shape
+    (m, n_u), and d log J / d design, (m, n_u, d)."""
+    xs = np.atleast_2d(np.asarray(xs, float))
     if want_grad:
-        vals, dvals = path.evaluate_with_grad(pts)
+        vals, dvals = path.evaluate_with_grad(xs, is_sample.points)
     else:
-        vals = path.evaluate(pts)
+        vals = path.evaluate(xs, is_sample.points)
     h = (vals - c) / smoothing.rho
     log_phi = std_normal_log_cdf(h)
+    pts = perturbed_grid(xs, is_sample)
     iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, want_grad)
+    iota = iota.reshape(vals.shape)
     log_j, ratio_h, ratio_iota = _smoothed_log_terms(log_phi, h, iota, want_grad)
     if not want_grad:
         return log_j, None
     dh = dvals / smoothing.rho
-    return log_j, ratio_h[:, None] * dh + ratio_iota[:, None] * diota
+    return log_j, ratio_h[..., None] * dh + ratio_iota[..., None] * diota.reshape(dh.shape)
 
 
 def perturbed_grid(xs, is_sample):
@@ -321,17 +329,18 @@ class PnEstimate:
 
 
 def _estimate(log_j_fn, model, x, is_sample, bounds, smoothing, c, want_grad):
-    y_pts = np.asarray(x, float) + is_sample.points
-    log_j, dlog_j = log_j_fn(model, y_pts, bounds, smoothing, c, want_grad)
-    log_p, grad = log_mean_wj(is_sample.log_weights, log_j, dlog_j)
+    xs = np.asarray(x, float).reshape(1, -1)
+    log_j, dlog_j = log_j_fn(model, xs, is_sample, bounds, smoothing, c, want_grad)
+    log_p, grad = log_mean_wj(
+        is_sample.log_weights, log_j[0], None if dlog_j is None else dlog_j[0]
+    )
     log_p = float(log_p) if np.isfinite(log_p) else -np.inf
     return PnEstimate(float(np.exp(log_p)), log_p, -log_p, grad)
 
 
 def _estimate_batch(log_j_fn, model, xs, is_sample, bounds, smoothing, c):
-    pts = perturbed_grid(xs, is_sample)
-    log_j, _ = log_j_fn(model, pts, bounds, smoothing, c, False)
-    return log_mean_wj(is_sample.log_weights, log_j.reshape(-1, len(is_sample)))[0]
+    log_j, _ = log_j_fn(model, xs, is_sample, bounds, smoothing, c, False)
+    return log_mean_wj(is_sample.log_weights, log_j)[0]
 
 
 def estimate_pn(

@@ -118,28 +118,6 @@ def write_curves_csv(curves, path):
                 )
 
 
-def read_curves_csv(path):
-    rows = {}
-    with open(path) as fh:
-        header = fh.readline()
-        for line in fh:
-            prob, alg, n, med, lo, up, reps, _ = line.strip().split(",")
-            rows.setdefault((prob, alg), []).append(
-                (int(n), float(med), float(lo), float(up), int(reps))
-            )
-    curves = []
-    for (prob, alg), data in rows.items():
-        data.sort()
-        arr = np.array(data, float)
-        curves.append(
-            AggregateCurve(
-                prob, alg, arr[:, 0].astype(int), arr[:, 1], arr[:, 2], arr[:, 3],
-                int(arr[0, 4]),
-            )
-        )
-    return curves
-
-
 def _svg_panel(lines, curves, x0, y0, w, h, title):
     """One panel: log-y axes, an IQR band and a median path per curve."""
     all_n = np.concatenate([c.n_grid for c in curves])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .numerics import in_blocks
 from .optimizers import multistart_qn
@@ -84,35 +85,64 @@ class Transforms:
 def _scaled_sqdist(A, B, ls):
     """Pairwise squared ARD distance between rows of A and B."""
     As, Bs = A / ls, B / ls
-    d2 = (
-        np.sum(As**2, axis=1)[:, None]
-        + np.sum(Bs**2, axis=1)[None, :]
-        - 2.0 * As @ Bs.T
-    )
-    return np.maximum(d2, 0.0)
+    d2 = np.sum(As**2, axis=1)[:, None] + np.sum(Bs**2, axis=1)[None, :]
+    cross = As @ Bs.T
+    cross *= 2.0
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _matern_block(A, B, hp: GPHyperparams, want_coef=False):
+    """Matern-5/2 kernel block between rows of A and B (normalized coords)
+    from one distance pass and, with ``want_coef``, the coefficient C of its
+    gradient: d k(a_i, b_j) / d a_i = C_ij (a_i - b_j) / l^2 (None otherwise).
+
+    C = -s^2 (5/3) (1 + sqrt5 r) exp(-sqrt5 r) is dk/dr divided by r, so the
+    gradient has no division by r.
+    """
+    s2 = hp.output_scale_sq
+    r = _scaled_sqdist(np.atleast_2d(A), np.atleast_2d(B), hp.lengthscales)
+    np.sqrt(r, out=r)
+    # In place, in the order of s2 (1 + sqrt5 r + 5 r^2 / 3) exp(-sqrt5 r).
+    e = np.multiply(r, -_SQRT5)
+    np.exp(e, out=e)
+    k = np.multiply(r, _SQRT5)
+    k += 1.0
+    coef = None
+    if want_coef:
+        coef = np.multiply(k, -s2 * (5.0 / 3.0))
+        coef *= e
+    np.multiply(r, r, out=r)
+    r *= 5.0
+    r /= 3.0
+    k += r
+    k *= s2
+    k *= e
+    return k, coef
 
 
 def matern52(A, B, hp: GPHyperparams) -> np.ndarray:
     """Matern-5/2 kernel matrix between rows of A and B (normalized coords)."""
-    r = np.sqrt(_scaled_sqdist(np.atleast_2d(A), np.atleast_2d(B), hp.lengthscales))
-    return hp.output_scale_sq * (1.0 + _SQRT5 * r + 5.0 * r**2 / 3.0) * np.exp(-_SQRT5 * r)
+    return _matern_block(A, B, hp)[0]
 
 
-def matern52_grad_a(A, B, hp: GPHyperparams) -> np.ndarray:
-    """d k(a_i, b_j) / d a_i, shape (len(A), len(B), d).
+def _scipy_matmul(A, B):
+    """A @ B by SciPy's BLAS, which also factors K, in place of NumPy's: the
+    two load separate OpenBLAS builds, each with its own worker threads, and
+    with 2 BLAS threads on 2 CPUs the posterior's products ran slower through
+    NumPy's (``kg_oneshot_next`` on a branin-2d n=30 fit: 11.8-14.0 s, against
+    8.5-8.7 s through SciPy's). The transposes hand C-contiguous operands to
+    the Fortran routine without a copy."""
+    return dgemm(1.0, B.T, A.T).T
 
-    Uses dk/dr = -s^2 (5/3) r (1 + sqrt5 r) exp(-sqrt5 r), which combines with
-    dr/da = (a-b)/(l^2 r) to a form with no division by r.
-    """
-    A, B = np.atleast_2d(A), np.atleast_2d(B)
-    ls = hp.lengthscales
-    r = np.sqrt(_scaled_sqdist(A, B, ls))
-    coef = -hp.output_scale_sq * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
-    ls2 = ls**2
-    G = np.empty((len(A), len(B), len(ls)))
-    for j in range(len(ls)):  # one dimension at a time: no length-d inner loop
-        np.multiply(coef, (A[:, j, None] - B[None, :, j]) / ls2[j], out=G[:, :, j])
-    return G
+
+def _contract(C, w, P, X, ls2):
+    """sum_n C[m, n] w[n] (P[m] - X[n]) / l^2 for an (m, n) coefficient
+    matrix C and weights w (all ones when None): (rowsum(C w) P - (C w) X) /
+    l^2, both terms from one product C [w | w X]. ``P`` may be one row."""
+    w = np.ones(len(X)) if w is None else w
+    CW = C @ np.column_stack([w, w[:, None] * X])
+    return (CW[:, :1] * P - CW[:, 1:]) / ls2
 
 
 class SurrogateState:
@@ -139,11 +169,27 @@ class SurrogateState:
             K = matern52(self.Xn, self.Xn, hp)
             K[np.diag_indices_from(K)] += hp.noise_variance + self.jitter
             self.chol = cholesky(K, lower=True)
+            self.chol_inv = solve_triangular(self.chol, np.eye(self.n), lower=True)
             self.alpha = cho_solve((self.chol, True), zc)
         else:
-            self.chol = np.zeros((0, 0))
+            self.chol = self.chol_inv = np.zeros((0, 0))
             self.alpha = np.zeros(0)
         self._zc = zc
+        self._cache_rhs()
+
+    def _cache_rhs(self):
+        """The (n, n + 2) right-hand side every posterior block is multiplied
+        by: [alpha | L^-T | 0]. One product with the (m, n) kernel block gives
+        the mean and L^-1 k; the spare column takes the K^-1 k_y of
+        ``cross_cov_with_grad``. One wide product in place of several narrow
+        ones also spares a small batch the start-up of a multithreaded BLAS
+        call per product."""
+        self._rhs = np.hstack([self.alpha[:, None], self.chol_inv.T, np.zeros((self.n, 1))])
+
+    def kinv(self, b):
+        """K^-1 b = L^-T (L^-1 b) by the cached L^-1, for b of shape (n,) or
+        (n, k)."""
+        return self.chol_inv.T @ (self.chol_inv @ b)
 
     @property
     def n(self) -> int:
@@ -161,58 +207,60 @@ class SurrogateState:
 
     # -- posterior ---------------------------------------------------------
 
-    def _k_train(self, Pn):
-        return matern52(self.Xn, Pn, self.hyperparams)  # (n, m)
-
     def posterior(self, points):
         """Marginal posterior mean and variance at ``points``, original units,
         each of shape (m,)."""
         tr = self.transforms
         Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
-        mean_std, var_std = in_blocks(self._marginal, Pn, self.n)
+        mean_std, var_std = in_blocks(self._marginal, Pn, self._rhs.shape[1])
         return tr.y_unstandardize(mean_std), var_std * tr.output_std**2
-
-    def _marginal(self, Pn):
-        """Standardized marginal mean and variance at normalized points."""
-        hp = self.hyperparams
-        if self.n == 0:
-            return np.full(len(Pn), hp.constant_mean), np.full(len(Pn), hp.output_scale_sq)
-        Ks = self._k_train(Pn)
-        V = solve_triangular(self.chol, Ks, lower=True)  # (n, m)
-        var_std = np.maximum(hp.output_scale_sq - np.sum(V**2, axis=0), NUGGET)
-        return hp.constant_mean + Ks.T @ self.alpha, var_std
 
     def posterior_with_grad(self, points):
         """Marginal posterior at ``points`` plus gradients w.r.t. the points.
 
         Returns (mean, var, dmean, dvar) with dmean, dvar of shape (m, d),
-        all in original units.
+        all in original units. The mean and variance are those of
+        :meth:`posterior`, byte for byte.
         """
         Pn = self.transforms.x_to_unit(np.atleast_2d(np.asarray(points, float)))
-        parts = in_blocks(
-            lambda B: self._marginal_with_grad(B)[:4], Pn, self.n * self.dim
-        )
+        parts = in_blocks(lambda B: self._marginal(B, True)[:4], Pn, self._rhs.shape[1])
         return self._grad_units(*parts)
 
-    def _marginal_with_grad(self, Pn):
-        """Standardized marginal (mean, var, dmean, dvar) at normalized points,
-        then the (n, m) kernel block, its K^-1 solve and the (m, n, d) kernel
-        gradient they come from (None without training data)."""
-        hp, m = self.hyperparams, len(Pn)
-        if self.n == 0:
-            zeros = np.zeros((m, self.dim))
-            return (*self._marginal(Pn), zeros, zeros, None, None, None)
-        Ks = self._k_train(Pn)  # (n, m)
-        mean_std = hp.constant_mean + Ks.T @ self.alpha
-        Kinv_Ks = cho_solve((self.chol, True), Ks)  # (n, m)
-        var_std = hp.output_scale_sq - np.sum(Ks * Kinv_Ks, axis=0)
+    def _marginal(self, Pn, want_grad=False, w=None):
+        """Standardized marginal (mean, var) at normalized points. With
+        ``want_grad`` it is followed by (dmean, dvar) and by the (m, n)
+        kernel gradient coefficient, K^-1 k = L^-T (L^-1 k) and k^T w (``w``
+        of shape (n,), zero when None) they come from (None without training
+        data).
+
+        Every mode takes the same product of the kernel block with the cached
+        right-hand side, so the mean and var = s^2 - |L^-1 k|^2 do not depend
+        on it; each gradient is one ``_contract``.
+        """
+        hp, m, n = self.hyperparams, len(Pn), self.n
+        if n == 0:
+            mean, var = np.full(m, hp.constant_mean), np.full(m, hp.output_scale_sq)
+            if not want_grad:
+                return mean, var
+            return mean, var, np.zeros((m, self.dim)), np.zeros((m, self.dim)), None, None, None
+        Kt, coef = _matern_block(Pn, self.Xn, hp, want_grad)  # (m, n)
+        rhs = self._rhs
+        if w is not None:
+            rhs = rhs.copy()
+            rhs[:, -1] = w
+        KR = _scipy_matmul(Kt, rhs)
+        V = KR[:, 1 : n + 1]  # rows (L^-1 k)^T
+        var_std = hp.output_scale_sq - np.einsum("mn,mn->m", V, V)
         clamped = var_std <= NUGGET
-        var_std = np.maximum(var_std, NUGGET)
-        G = matern52_grad_a(Pn, self.Xn, hp)  # (m, n, d)
-        dmean_std = np.einsum("mnd,n->md", G, self.alpha)
-        dvar_std = -2.0 * np.einsum("mnd,nm->md", G, Kinv_Ks)
+        mean_std, var_std = hp.constant_mean + KR[:, 0], np.maximum(var_std, NUGGET)
+        if not want_grad:
+            return mean_std, var_std
+        Kinv_Kt = _scipy_matmul(V, self.chol_inv)  # rows (K^-1 k)^T
+        ls2 = hp.lengthscales**2
+        dmean_std = _contract(coef, self.alpha, Pn, self.Xn, ls2)
+        dvar_std = -2.0 * _contract(coef * Kinv_Kt, None, Pn, self.Xn, ls2)
         dvar_std[clamped] = 0.0
-        return mean_std, var_std, dmean_std, dvar_std, Ks, Kinv_Ks, G
+        return mean_std, var_std, dmean_std, dvar_std, coef, Kinv_Kt, KR[:, -1]
 
     def _grad_units(self, mean_std, var_std, dmean_std, dvar_std):
         """A standardized marginal and its gradients in original units."""
@@ -237,24 +285,26 @@ class SurrogateState:
         hp, tr = self.hyperparams, self.transforms
         Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
         yn = tr.x_to_unit(np.asarray(y, float).reshape(1, -1))
+        ls2 = hp.lengthscales**2
+        w_y = None
         if self.n:
-            w_y = cho_solve((self.chol, True), self._k_train(yn)[:, 0])  # (n,)
-            Gy = matern52_grad_a(yn, self.Xn, hp)[0]  # (n, d)
+            k_y, coef_y = _matern_block(yn, self.Xn, hp, True)  # (1, n)
+            w_y = self.kinv(k_y[0])
 
         def block(Bn):
-            mean_std, var_std, dmean_std, dvar_std, Kt, Kinv_Kt, Gt = (
-                self._marginal_with_grad(Bn)
+            mean_std, var_std, dmean_std, dvar_std, coef, Kinv_Kt, k_w = self._marginal(
+                Bn, True, w_y
             )
-            kty = matern52(Bn, yn, hp)[:, 0]  # (m,)
-            dk_dt = matern52_grad_a(Bn, yn, hp)[:, 0, :]  # (m, d)
+            kty, coef_ty = _matern_block(Bn, yn, hp, True)  # (m, 1)
+            kty, dk_dt = kty[:, 0], coef_ty * (Bn - yn) / ls2
             dk_dy = -dk_dt
             if self.n:
-                kty = kty - Kt.T @ w_y
-                dk_dt = dk_dt - np.einsum("mnd,n->md", Gt, w_y)
-                dk_dy = dk_dy - Kinv_Kt.T @ Gy
+                kty = kty - k_w
+                dk_dt = dk_dt - _contract(coef, w_y, Bn, self.Xn, ls2)
+                dk_dy = dk_dy - _contract(Kinv_Kt, coef_y[0], yn, self.Xn, ls2)
             return mean_std, var_std, dmean_std, dvar_std, kty, dk_dt, dk_dy
 
-        *marginal, kty, dk_dt, dk_dy = in_blocks(block, Pn, self.n * self.dim)
+        *marginal, kty, dk_dt, dk_dy = in_blocks(block, Pn, self._rhs.shape[1])
         scale = 1.0 / tr.input_scale
         s2 = tr.output_std**2
         return (
@@ -295,12 +345,17 @@ class SurrogateState:
         if self.n:
             l = solve_triangular(self.chol, kvec, lower=True)
             dnew = np.sqrt(max(kyy - l @ l, NUGGET))
-            new.chol = np.block(
-                [[self.chol, np.zeros((self.n, 1))], [l[None, :], np.array([[dnew]])]]
+            border = np.zeros((self.n, 1))
+            new.chol = np.block([[self.chol, border], [l[None, :], np.array([[dnew]])]])
+            # The bordered inverse: [[L^-1, 0], [-l^T L^-1 / d, 1 / d]].
+            new.chol_inv = np.block(
+                [[self.chol_inv, border], [-(l @ self.chol_inv)[None, :] / dnew, 1.0 / dnew]]
             )
         else:
             new.chol = np.array([[np.sqrt(kyy)]])
+            new.chol_inv = 1.0 / new.chol
         new.alpha = cho_solve((new.chol, True), new._zc)
+        new._cache_rhs()
         return new
 
     def draw_rff_path(self, n_features: int = 1024, seed=0) -> "RFFPath":
@@ -340,58 +395,82 @@ class RFFPath:
         freqs = z * np.sqrt(5.0 / chi2)[:, None] / hp.lengthscales
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
         weights = rng.standard_normal(n_features)
+        coef = np.zeros(0)
         if state.n:
-            feat = cls._features_static(freqs, phases, hp, state.Xn)
-            prior_at_train = feat @ weights
+            prior = cls(state, freqs, phases, weights, coef)
+            prior_at_train = prior._prior(state.Xn, np.zeros((1, d)), False)[0][:, 0]
             noise = rng.standard_normal(state.n) * np.sqrt(hp.noise_variance)
             resid = state._zc - prior_at_train - noise
             coef = cho_solve((state.chol, True), resid)
-        else:
-            coef = np.zeros(0)
         return cls(state, freqs, phases, weights, coef)
 
-    @staticmethod
-    def _features_static(freqs, phases, hp, Pn):
-        amp = np.sqrt(2.0 * hp.output_scale_sq / len(phases))
-        return amp * np.cos(Pn @ freqs.T + phases)
+    def evaluate(self, xs, us=None) -> np.ndarray:
+        """Path values at every ``xs[i] + us[j]``, shape (m, n_u), original
+        units; at the points ``xs`` themselves, shape (m,), when ``us`` is
+        None."""
+        return self._evaluate(xs, us, False)[0]
 
-    def _width(self):
-        """float64 per row of the largest evaluation temporary."""
-        return max(self.n_features, self.state.n * self.state.dim)
+    def evaluate_with_grad(self, xs, us=None):
+        """Path values as from :meth:`evaluate`, and their gradients w.r.t.
+        the design, shape (m, n_u, d), or (m, d) when ``us`` is None."""
+        return self._evaluate(xs, us, True)
 
-    def evaluate(self, points) -> np.ndarray:
-        """Path values at ``points``, original units."""
-        tr = self.state.transforms
-        Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
-        return tr.y_unstandardize(in_blocks(self._values, Pn, self._width()))
+    def _evaluate(self, xs, us, want_grad):
+        st, tr = self.state, self.state.transforms
+        Xn = tr.x_to_unit(np.atleast_2d(np.asarray(xs, float)))
+        plain = us is None
+        Un = np.zeros((1, st.dim)) if plain else np.atleast_2d(us) / tr.input_scale
+        # float64 per design row of the largest temporary: the feature arrays,
+        # or the kernel block and grid of its perturbed points.
+        width = max(2 * self.n_features, len(Un) * max(st.n, st.dim, 1))
+        if want_grad:
+            vals, grads = in_blocks(lambda B: self._values(B, Un, True), Xn, width)
+            grads = grads * (tr.output_std / tr.input_scale)
+        else:
+            vals, grads = in_blocks(lambda B: self._values(B, Un, False)[0], Xn, width), None
+        vals = tr.y_unstandardize(vals)
+        if plain:
+            vals, grads = vals[:, 0], None if grads is None else grads[:, 0]
+        return vals, grads
 
-    def _values(self, Pn):
+    def _prior(self, Xn, Un, want_grad):
+        """The standardized prior expansion at every Xn[i] + Un[j], (m, n_u),
+        and its gradient (m, n_u, d) (None without ``want_grad``).
+
+        By angle addition cos(w.(x + u) + phi) = cos A cos B - sin A sin B with
+        A = w.x + phi and B = w.u, so the sum over features is two products
+        of (m, F) and (n_u, F) factors.
+        """
+        amp = np.sqrt(2.0 * self.state.hyperparams.output_scale_sq / self.n_features)
+        A = Xn @ self.frequencies.T
+        A += self.phases
+        cos_a = np.cos(A)
+        sin_a = np.sin(A, out=A)
+        cos_a *= self.weights
+        sin_a *= self.weights
+        B = Un @ self.frequencies.T
+        cos_b, sin_b = np.cos(B), np.sin(B)
+        vals = amp * (cos_a @ cos_b.T - sin_a @ sin_b.T)
+        if not want_grad:
+            return vals, None
+        # d/dx cos(A + B) = -sin(A + B) w, sin(A + B) = sin A cos B + cos A sin B.
+        grads = np.empty((*vals.shape, Xn.shape[1]))
+        for k, w_k in enumerate(self.frequencies.T):
+            grads[:, :, k] = (sin_a * w_k) @ cos_b.T + (cos_a * w_k) @ sin_b.T
+        return vals, grads * -amp
+
+    def _values(self, Xn, Un, want_grad):
         st, hp = self.state, self.state.hyperparams
-        vals = hp.constant_mean + self._features_static(
-            self.frequencies, self.phases, hp, Pn
-        ) @ self.weights
+        vals, grads = self._prior(Xn, Un, want_grad)
+        vals += hp.constant_mean
         if st.n:
-            vals = vals + matern52(Pn, st.Xn, hp) @ self.update_coef
-        return vals
-
-    def evaluate_with_grad(self, points):
-        """Path values and gradients w.r.t. the points, original units."""
-        tr = self.state.transforms
-        Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
-        vals, grads = in_blocks(self._values_with_grad, Pn, self._width())
-        scale = 1.0 / tr.input_scale
-        return tr.y_unstandardize(vals), grads * scale * tr.output_std
-
-    def _values_with_grad(self, Pn):
-        st, hp = self.state, self.state.hyperparams
-        amp = np.sqrt(2.0 * hp.output_scale_sq / self.n_features)
-        arg = Pn @ self.frequencies.T + self.phases
-        vals = hp.constant_mean + amp * np.cos(arg) @ self.weights
-        grads = -amp * (np.sin(arg) * self.weights) @ self.frequencies
-        if st.n:
-            vals = vals + matern52(Pn, st.Xn, hp) @ self.update_coef
-            G = matern52_grad_a(Pn, st.Xn, hp)  # (m, n, d)
-            grads = grads + np.einsum("mnd,n->md", G, self.update_coef)
+            m, n_u, d = len(Xn), len(Un), st.dim
+            Pn = (Xn[:, None, :] + Un[None, :, :]).reshape(-1, d)
+            K, coef = _matern_block(Pn, st.Xn, hp, want_grad)
+            vals += (K @ self.update_coef).reshape(m, n_u)
+            if want_grad:
+                update = _contract(coef, self.update_coef, Pn, st.Xn, hp.lengthscales**2)
+                grads += update.reshape(m, n_u, d)
         return vals, grads
 
 

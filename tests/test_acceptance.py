@@ -53,7 +53,6 @@ from relbo.harness import (
 from relbo.numerics import (
     SobolStream,
     gaussian_qmc,
-    regularized_lower_gamma,
     std_normal_cdf,
     std_normal_log_cdf,
 )
@@ -68,6 +67,7 @@ from relbo.reliability import (
     evaluate_true_failure,
 )
 from relbo.surrogate import SurrogateState, fit_map
+from reference import regularized_lower_gamma
 
 ACC_DIR = Path(__file__).resolve().parent.parent / "acceptance_runs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "relbo"

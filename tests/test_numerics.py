@@ -8,13 +8,13 @@ from scipy.special import erf
 from scipy.stats import kstest
 
 import relbo.numerics as numerics
+from reference import regularized_lower_gamma
 from relbo.numerics import (
     MAX_SOBOL_DIM,
     SobolStream,
     box_muller,
     gaussian_qmc,
     in_blocks,
-    regularized_lower_gamma,
     std_normal_cdf,
     std_normal_log_cdf,
     std_normal_log_pdf,

@@ -4,12 +4,12 @@ threshold calibration and the registry."""
 import numpy as np
 import pytest
 
+from reference import calibrate_threshold
 from relbo.numerics import SobolStream
 from relbo.problems import (
     PROBLEM_NAMES,
     OutOfDomainError,
     Problem,
-    calibrate_threshold,
     get_problem,
     gp_sample_fn,
     make_gp_problem,

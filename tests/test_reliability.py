@@ -341,8 +341,11 @@ class TestLogMeanWj:
         # The 1-D terms of a single-design estimate.
         prob = branin_problem
         sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(2, seed=3))
-        y = np.array([2.5, 7.5]) + sample.points
-        log_j, _ = _gp_log_j(branin_state, y, prob.bounds, SmoothingConfig(0.5), prob.c, False)
+        x = np.array([[2.5, 7.5]])
+        log_j, _ = _gp_log_j(
+            branin_state, x, sample, prob.bounds, SmoothingConfig(0.5), prob.c, False
+        )
+        log_j = log_j[0]
         got, _ = log_mean_wj(sample.log_weights, log_j)
         assert np.ndim(got) == 0
         np.testing.assert_array_equal(got, self.scipy_log_mean(sample.log_weights, log_j))

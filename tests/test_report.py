@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from reference import read_curves_csv
 from relbo.harness import TraceWriter
 from relbo.report import (
     LOG_FLOOR,
@@ -14,7 +15,6 @@ from relbo.report import (
     aggregate_traces,
     checkpoint_series,
     emit_plot,
-    read_curves_csv,
     write_curves_csv,
     write_summary,
 )

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 import relbo.numerics as numerics
 from conftest import fd_gradient_error
@@ -20,9 +20,9 @@ from relbo.surrogate import (
     _scaled_sqdist,
     fit_map,
     matern52,
-    matern52_grad_a,
     prior_state,
 )
+from reference import matern52_grad_a
 
 
 def unit_hp(s2=2.0, ls=0.3, d=2):
@@ -41,6 +41,47 @@ def broadcast_grad_a(A, B, hp):
     r = np.sqrt(_scaled_sqdist(A, B, ls))
     coef = -hp.output_scale_sq * (5.0 / 3.0) * (1.0 + np.sqrt(5.0) * r) * np.exp(-np.sqrt(5.0) * r)
     return coef[:, :, None] * ((A[:, None, :] - B[None, :, :]) / ls**2)
+
+
+def assert_close(got, want, scale=0.0):
+    """Equal to within rounding, relative to the batch's scale: a gradient
+    entry that cancels to near zero may move by a rounding of its largest
+    terms. The scale is max |want|, or ``scale`` if that is larger."""
+    scale = max(scale, np.max(np.abs(want[np.isfinite(want)]), initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def tensor_marginal_grads(state, points):
+    """The posterior gradients (dmean, dvar) in original units by the
+    (m, n, d) kernel-gradient tensor and a ``cho_solve``, the reference the
+    GEMM-form contraction reproduces to rounding."""
+    hp, tr = state.hyperparams, state.transforms
+    Pn = tr.x_to_unit(np.atleast_2d(points))
+    G = broadcast_grad_a(Pn, state.Xn, hp)
+    Kinv_Ks = cho_solve((state.chol, True), matern52(state.Xn, Pn, hp))
+    _, var, _, _ = state.posterior_with_grad(points)
+    dmean = np.einsum("mnd,n->md", G, state.alpha)
+    dvar = -2.0 * np.einsum("mnd,nm->md", G, Kinv_Ks)
+    dvar[var <= state.variance_floor] = 0.0
+    scale = 1.0 / tr.input_scale
+    return dmean * scale * tr.output_std, dvar * scale * tr.output_std**2
+
+
+def direct_rff(path, xs, us):
+    """A sample path and its design gradient at every xs[i] + us[j] by
+    ``cos`` over every (point, feature) argument, shapes (m, n_u) and
+    (m, n_u, d): the reference the separable evaluation reproduces."""
+    st, hp, tr = path.state, path.state.hyperparams, path.state.transforms
+    m, n_u, d = len(xs), len(us), st.dim
+    Pn = tr.x_to_unit((xs[:, None, :] + us[None, :, :]).reshape(-1, d))
+    amp = np.sqrt(2.0 * hp.output_scale_sq / path.n_features)
+    arg = Pn @ path.frequencies.T + path.phases
+    vals = hp.constant_mean + amp * np.cos(arg) @ path.weights
+    grads = -amp * (np.sin(arg) * path.weights) @ path.frequencies
+    vals = vals + matern52(Pn, st.Xn, hp) @ path.update_coef
+    grads = grads + np.einsum("mnd,n->md", broadcast_grad_a(Pn, st.Xn, hp), path.update_coef)
+    grads = grads * tr.output_std / tr.input_scale
+    return tr.y_unstandardize(vals).reshape(m, n_u), grads.reshape(m, n_u, d)
 
 
 def two_pass_cross_cov(state, points, y):
@@ -64,6 +105,32 @@ def two_pass_cross_cov(state, points, y):
     return (
         *state.posterior_with_grad(points), kty * s2, dk_dt * scale * s2, dk_dy * scale * s2
     )
+
+
+def prior_cross_scales(state, points, y):
+    """max |k(t, y)| and max |d k(t, y) / d t| over the batch, original
+    units: the size of the terms of which k_n(t, y) and its gradients are the
+    difference. Near a training input y those are near zero, and any change
+    in the order of the sums moves them by roundings of this size."""
+    hp, tr = state.hyperparams, state.transforms
+    Pn, yn = tr.x_to_unit(np.atleast_2d(points)), tr.x_to_unit(np.reshape(y, (1, -1)))
+    s2 = tr.output_std**2
+    grad = matern52_grad_a(Pn, yn, hp)[:, 0, :] / tr.input_scale
+    return np.max(matern52(Pn, yn, hp)) * s2, np.max(np.abs(grad)) * s2
+
+
+def assert_cross_cov_close(state, points, y):
+    """The fused pass against ``two_pass_cross_cov``: the marginal runs the
+    same code and is equal; k_n and its gradients agree to rounding at the
+    size of their terms."""
+    fused = state.cross_cov_with_grad(points, y)
+    want = two_pass_cross_cov(state, points, y)
+    for got, ref in zip(fused[:4], want[:4], strict=True):
+        np.testing.assert_array_equal(got, ref)
+    k_scale, grad_scale = prior_cross_scales(state, points, y)
+    for got, ref, scale in zip(fused[4:], want[4:], (k_scale, grad_scale, grad_scale)):
+        assert_close(got, ref, scale)
+    return fused
 
 
 @pytest.fixture(scope="module")
@@ -226,21 +293,53 @@ class TestFusedPass:
         A, B = rng.uniform(size=(300, d)), rng.uniform(size=(40, d))
         np.testing.assert_array_equal(matern52_grad_a(A, B, hp), broadcast_grad_a(A, B, hp))
 
+    def test_posterior_with_grad_shares_mean_and_variance(self, branin_state, noiseless_state):
+        for st in (branin_state, noiseless_state):
+            pts = np.vstack([st.train_inputs, box_points(st, 300, 2)])
+            with_grad = st.posterior_with_grad(pts)
+            for got, want in zip(with_grad[:2], st.posterior(pts), strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    def test_gemm_gradients_match_tensor_reference(self, branin_state, noiseless_state):
+        # Training inputs included: there P - X_n cancels in the product form.
+        for st in (branin_state, noiseless_state):
+            pts = np.vstack([st.train_inputs, box_points(st, 2048, 5)])
+            _, _, dmean, dvar = st.posterior_with_grad(pts)
+            for got, want in zip((dmean, dvar), tensor_marginal_grads(st, pts), strict=True):
+                assert_close(got, want)
+
+    def test_separable_rff_matches_direct_cos(self, branin_state):
+        u = 0.8 * (SobolStream(2, scramble_seed=2).take(64) - 0.5)
+        xs = np.vstack([branin_state.train_inputs[:5], box_points(branin_state, 40, 3)])
+        path = branin_state.draw_rff_path(1024, seed=4)
+        vals, grads = direct_rff(path, xs, u)
+        assert_close(path.evaluate(xs, u), vals)
+        for got, want in zip(path.evaluate_with_grad(xs, u), (vals, grads), strict=True):
+            assert_close(got, want)
+        plain_vals, plain_grads = direct_rff(path, xs, np.zeros((1, 2)))
+        assert_close(path.evaluate(xs), plain_vals[:, 0])
+        assert_close(path.evaluate_with_grad(xs)[1], plain_grads[:, 0])
+
+    def test_cached_inverse_solves_like_cho_solve(self, branin_state):
+        # After two fantasies L^-1 is the bordered inverse of a bordered L.
+        fant = branin_state.fantasize(np.array([1.0, 3.0]), 0.7)
+        fant = fant.fantasize(np.array([-2.0, 11.0]), -0.4)
+        for st in (branin_state, fant):
+            eye = np.eye(st.n)
+            assert_close(st.chol_inv, solve_triangular(st.chol, eye, lower=True))
+            B = matern52(st.Xn, st.transforms.x_to_unit(box_points(st, 64, 7)), st.hyperparams)
+            assert_close(st.kinv(B), cho_solve((st.chol, True), B))
+
     def test_cross_cov_equals_two_passes(self, branin_state):
         pts = box_points(branin_state, 2048, 5)
         for y in (pts[7], np.array([2.5, 7.5]), branin_state.train_inputs[3]):
-            fused = branin_state.cross_cov_with_grad(pts, y)
-            for got, want in zip(fused, two_pass_cross_cov(branin_state, pts, y), strict=True):
-                np.testing.assert_array_equal(got, want)
+            assert_cross_cov_close(branin_state, pts, y)
 
     def test_cross_cov_equals_two_passes_at_variance_floor(self, noiseless_state):
         st = noiseless_state
         pts = np.vstack([st.train_inputs, box_points(st, 20, 1)])
-        fused = st.cross_cov_with_grad(pts, st.train_inputs[0])
-        floor = st.variance_floor
-        assert np.any(fused[1] == floor)  # the clamped mask applies
-        for got, want in zip(fused, two_pass_cross_cov(st, pts, st.train_inputs[0]), strict=True):
-            np.testing.assert_array_equal(got, want)
+        fused = assert_cross_cov_close(st, pts, st.train_inputs[0])
+        assert np.any(fused[1] == st.variance_floor)  # the clamped mask applies
 
     def test_fantasy_unchanged_by_fusion_at_variance_floor(self, noiseless_state, monkeypatch):
         # Perturbations include zero, so some perturbed designs are training
@@ -254,7 +353,8 @@ class TestFusedPass:
         fused = _fantasy_log_p(*args)
         monkeypatch.setattr(SurrogateState, "cross_cov_with_grad", two_pass_cross_cov)
         for got, want in zip(fused, _fantasy_log_p(*args), strict=True):
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+            assert_close(got, want)
 
 
 class TestBlocks:
