@@ -130,7 +130,7 @@ def _scipy_matmul(A, B):
     """A @ B by SciPy's BLAS, which also factors K, in place of NumPy's: the
     two load separate OpenBLAS builds, each with its own worker threads, and
     with 2 BLAS threads on 2 CPUs the posterior's products ran slower through
-    NumPy's (``kg_oneshot_next`` on a branin-2d n=30 fit: 11.8-14.0 s, against
+    NumPy's (``kg_oneshot_next`` on a branin-2d n=30 fit: 11.8-14.3 s, against
     8.5-8.7 s through SciPy's). The transposes hand C-contiguous operands to
     the Fortran routine without a copy."""
     return dgemm(1.0, B.T, A.T).T
