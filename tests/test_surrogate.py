@@ -293,12 +293,17 @@ class TestFusedPass:
         A, B = rng.uniform(size=(300, d)), rng.uniform(size=(40, d))
         np.testing.assert_array_equal(matern52_grad_a(A, B, hp), broadcast_grad_a(A, B, hp))
 
-    def test_posterior_with_grad_shares_mean_and_variance(self, branin_state, noiseless_state):
+    @pytest.mark.parametrize("budget", [numerics.ELEMENT_BUDGET, 2**10])
+    def test_posterior_with_grad_shares_mean_and_variance(
+        self, branin_state, noiseless_state, monkeypatch, budget
+    ):
+        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", budget)  # 2^10: many blocks
         for st in (branin_state, noiseless_state):
             pts = np.vstack([st.train_inputs, box_points(st, 300, 2)])
-            with_grad = st.posterior_with_grad(pts)
-            for got, want in zip(with_grad[:2], st.posterior(pts), strict=True):
-                np.testing.assert_array_equal(got, want)
+            for batch in (pts, pts[:1], pts[-1:]):  # one row: a matrix-vector product
+                with_grad = st.posterior_with_grad(batch)
+                for got, want in zip(with_grad[:2], st.posterior(batch), strict=True):
+                    np.testing.assert_array_equal(got, want)
 
     def test_gemm_gradients_match_tensor_reference(self, branin_state, noiseless_state):
         # Training inputs included: there P - X_n cancels in the product form.
