@@ -376,14 +376,19 @@ class _FantasyScan:
         self._kt = matern52(self._pts_n, state.Xn, state.hyperparams)
         self.baseline = float(np.max(self.grid_values(self.hard)))
 
+    def _grid_log_p(self, mean, var, smoothing):
+        """log P at every grid design from a marginal over the perturbed grid
+        (leading axes, one per fantasy say, kept), shape (..., Nx)."""
+        log_j, _ = _gp_marginal_log_j(
+            self.state, mean, var, None, None, self.pts, self.bounds, smoothing, self.c
+        )
+        shape = (*log_j.shape[:-1], len(self.x_disc), -1)
+        return log_mean_wj(self.is_sample.log_weights, log_j.reshape(shape))[0]
+
     def grid_values(self, smoothing):
         """The current value of every grid design under ``smoothing``; their
         maximum is the term the knowledge gradient subtracts."""
-        log_j, _ = _gp_marginal_log_j(
-            self.state, self.mean, self.var, None, None, self.pts, self.bounds, smoothing,
-            self.c,
-        )
-        log_p, _ = log_mean_wj(self.is_sample.log_weights, log_j.reshape(len(self.x_disc), -1))
+        log_p = self._grid_log_p(self.mean, self.var, smoothing)
         return _value_from_log_p(log_p, self.spec.use_log)
 
     def log_p_at(self, y, smoothing):
@@ -395,12 +400,7 @@ class _FantasyScan:
         fmean, fvar, _, _ = _fantasy_marginal(
             self.state, self.z[:, None], self.mean, self.var, kty, vy[0]
         )
-        log_j, _ = _gp_marginal_log_j(
-            self.state, fmean, fvar, None, None, self.pts, self.bounds, smoothing, self.c
-        )
-        return log_mean_wj(
-            self.is_sample.log_weights, log_j.reshape(len(self.z), len(self.x_disc), -1)
-        )[0]
+        return self._grid_log_p(fmean, fvar, smoothing)
 
     def value_at(self, y):
         """Discrete knowledge gradient at one candidate ``y``, and the

@@ -35,7 +35,6 @@ def multistart_qn(
     starts: Sequence[np.ndarray],
     sense: str = "min",
     max_iters: int = 200,
-    gtol: float = 1e-7,
 ) -> tuple[np.ndarray, float, list[StartDiagnostics]]:
     """Bounded quasi-Newton (L-BFGS-B) from each start; return the best local
     optimum in ``sense`` ("min" or "max").
@@ -75,7 +74,7 @@ def multistart_qn(
                 jac=True,
                 method="L-BFGS-B",
                 bounds=list(zip(lo, hi)),
-                options={"maxiter": max_iters, "gtol": gtol, "ftol": 1e-12},
+                options={"maxiter": max_iters, "gtol": 1e-7, "ftol": 1e-12},
             )
         except _NaNGradient:
             log.warning("abandoning start %s: NaN gradient", x0)

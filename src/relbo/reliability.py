@@ -93,12 +93,11 @@ class SmoothingConfig:
             raise ValueError("delta must be >= 0 and rho > 0")
 
     @classmethod
-    def for_box(cls, bounds, rho: float = 0.01, delta: float | None = None):
+    def for_box(cls, bounds, rho: float = 0.01):
+        """Smoothing width 5% of the box's shortest side, at most 0.1."""
         bounds = np.asarray(bounds, float)
-        if delta is None:
-            lmin = float(np.min(bounds[:, 1] - bounds[:, 0]))
-            delta = min(0.05 * lmin, 0.1)
-        return cls(delta, rho)
+        lmin = float(np.min(bounds[:, 1] - bounds[:, 0]))
+        return cls(min(0.05 * lmin, 0.1), rho)
 
 
 # -- bounds smoothing ------------------------------------------------------
@@ -397,7 +396,6 @@ def evaluate_true_failure(
     x,
     n_u: int = 2**20,
     tau: float | None = None,
-    stream: SobolStream | None = None,
     seed: int = 20_20,
 ) -> float:
     """Ground-truth scoring estimator: importance-weighted qMC with hard
@@ -406,8 +404,7 @@ def evaluate_true_failure(
     perturb = problem.perturb
     if tau is None:
         tau = problem.default_tau
-    if stream is None:
-        stream = SobolStream(2 * ((perturb.dim + 1) // 2), scramble_seed=seed)
+    stream = SobolStream(2 * ((perturb.dim + 1) // 2), scramble_seed=seed)
     sample = draw_is_sample(perturb, tau, n_u, stream)
     x = np.asarray(x, float)
     y_pts = x + sample.points

@@ -181,11 +181,11 @@ def _svg_panel(lines, curves, x0, y0, w, h, title):
         )
 
 
-def emit_plot(curves, svg_path, csv_path=None, columns=4):
+def emit_plot(curves, svg_path, csv_path=None):
     """Write the convergence figure as standalone SVG plus the companion CSV.
 
-    Panels are one per problem, laid out on a grid in the fixed suite order
-    (unknown problems follow, alphabetically)."""
+    Panels are one per problem, laid out on a grid of up to four columns in
+    the fixed suite order (unknown problems follow, alphabetically)."""
     if not curves:
         raise ValueError("no curves to plot")
     svg_path = Path(svg_path)
@@ -201,7 +201,7 @@ def emit_plot(curves, svg_path, csv_path=None, columns=4):
     problems = known + extra
 
     panel_w, panel_h, margin_x, margin_y = 180, 120, 50, 40
-    cols = min(columns, len(problems))
+    cols = min(4, len(problems))
     rows = (len(problems) + cols - 1) // cols
     width = cols * (panel_w + margin_x) + 20
     height = rows * (panel_h + margin_y) + 40

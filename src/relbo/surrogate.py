@@ -1,8 +1,10 @@
 """Gaussian-process surrogate of the black-box objective.
 
-Matern-5/2 ARD kernel, exact inference via Cholesky, MAP hyperparameter
-fitting under gamma priors, rank-one fantasy conditioning, and pathwise
-sample functions via random Fourier features.
+Matern-5/2 ARD kernel, exact inference via Cholesky with a cached inverse
+factor, MAP hyperparameter fitting under gamma priors, and pathwise sample
+functions via random Fourier features. Conditioning on a fantasy observation
+is the acquisition's closed-form rank-one update of a posterior marginal; no
+state is rebuilt for it.
 
 Internally all computation uses normalized inputs (box mapped to [0,1]^d)
 and standardized outputs (zero mean, unit variance); the public API works
@@ -148,7 +150,10 @@ def _contract(C, w, P, X, ls2):
 class SurrogateState:
     """Immutable posterior belief over the black-box function.
 
-    Construct via :func:`fit_map`, :func:`prior_state` or ``fantasize``.
+    Construct via :func:`fit_map` or :func:`prior_state`, or directly from
+    data and fixed hyperparameters. Holds the Cholesky factor L of the kernel
+    matrix, its inverse L^-1 and K^-1 (y - m), from which every posterior
+    block is one product.
     """
 
     def __init__(self, train_inputs, train_targets, transforms, hyperparams, jitter=0.0):
@@ -175,15 +180,12 @@ class SurrogateState:
             self.chol = self.chol_inv = np.zeros((0, 0))
             self.alpha = np.zeros(0)
         self._zc = zc
-        self._cache_rhs()
-
-    def _cache_rhs(self):
-        """The (n, n + 2) right-hand side every posterior block is multiplied
-        by: [alpha | L^-T | 0]. One product with the (m, n) kernel block gives
-        the mean and L^-1 k; the spare column takes the K^-1 k_y of
-        ``cross_cov_with_grad``. One wide product in place of several narrow
-        ones also spares a small batch the start-up of a multithreaded BLAS
-        call per product."""
+        # The (n, n + 2) right-hand side every posterior block is multiplied
+        # by: [alpha | L^-T | 0]. One product with the (m, n) kernel block
+        # gives the mean and L^-1 k; the spare column takes the K^-1 k_y of
+        # ``cross_cov_with_grad``. One wide product in place of several narrow
+        # ones also spares a small batch the start-up of a multithreaded BLAS
+        # call per product.
         self._rhs = np.hstack([self.alpha[:, None], self.chol_inv.T, np.zeros((self.n, 1))])
 
     def kinv(self, b):
@@ -310,53 +312,6 @@ class SurrogateState:
         return (
             *self._grad_units(*marginal), kty * s2, dk_dt * scale * s2, dk_dy * scale * s2
         )
-
-    # -- conditioning ------------------------------------------------------
-
-    def fantasize(self, y, z: float) -> "SurrogateState":
-        """Posterior conditioned on the hypothetical observation
-        mu_n(y) + z*sqrt(k_n(y,y)) at y, via a rank-one Cholesky extension.
-
-        Hyperparameters and transforms are unchanged. If the variance at y is
-        at the nugget floor the observation carries no information and a copy
-        of the current state is returned.
-        """
-        y = np.asarray(y, float).reshape(-1)
-        mean, var = self.posterior(y[None, :])
-        var_std = var[0] / self.transforms.output_std**2
-        if var_std <= NUGGET * (1 + 1e-9):
-            return self
-        v = mean[0] + z * np.sqrt(var[0])
-        return self._append(y, v)
-
-    def _append(self, y, v) -> "SurrogateState":
-        hp, tr = self.hyperparams, self.transforms
-        new = SurrogateState.__new__(SurrogateState)
-        new.train_inputs = np.vstack([self.train_inputs, y[None, :]])
-        new.train_targets = np.append(self.train_targets, v)
-        new.transforms = tr
-        new.hyperparams = hp
-        new.jitter = self.jitter
-        yn = tr.x_to_unit(y).reshape(1, -1)
-        new.Xn = np.vstack([self.Xn, yn])
-        new._zc = np.append(self._zc, tr.y_standardize(v) - hp.constant_mean)
-        kvec = matern52(self.Xn, yn, hp)[:, 0] if self.n else np.zeros(0)
-        kyy = hp.output_scale_sq + hp.noise_variance + self.jitter
-        if self.n:
-            l = solve_triangular(self.chol, kvec, lower=True)
-            dnew = np.sqrt(max(kyy - l @ l, NUGGET))
-            border = np.zeros((self.n, 1))
-            new.chol = np.block([[self.chol, border], [l[None, :], np.array([[dnew]])]])
-            # The bordered inverse: [[L^-1, 0], [-l^T L^-1 / d, 1 / d]].
-            new.chol_inv = np.block(
-                [[self.chol_inv, border], [-(l @ self.chol_inv)[None, :] / dnew, 1.0 / dnew]]
-            )
-        else:
-            new.chol = np.array([[np.sqrt(kyy)]])
-            new.chol_inv = 1.0 / new.chol
-        new.alpha = cho_solve((new.chol, True), new._zc)
-        new._cache_rhs()
-        return new
 
     def draw_rff_path(self, n_features: int = 1024, seed=0) -> "RFFPath":
         """A deterministic approximate posterior sample path via decoupled
@@ -495,7 +450,7 @@ def _nll_and_grad(theta, Xn, zc_raw, jitter):
     log_s2, log_ls, cmean = theta[0], theta[1 : 1 + d], theta[1 + d]
     s2, ls = np.exp(log_s2), np.exp(log_ls)
     hp = GPHyperparams(s2, ls, cmean)
-    K = matern52(Xn, Xn, hp)
+    K, coef = _matern_block(Xn, Xn, hp, True)
     K[np.diag_indices_from(K)] += NOISE_VARIANCE + jitter
     try:
         L = cholesky(K, lower=True)
@@ -515,9 +470,9 @@ def _nll_and_grad(theta, Xn, zc_raw, jitter):
     Knoise = K.copy()
     Knoise[np.diag_indices_from(Knoise)] -= NOISE_VARIANCE + jitter
     g_s2 = 0.5 * np.sum(M * Knoise) + (a_s - 1) - b_s * s2
-    # d K / d log l_j = s2*(5/3)(1+sqrt5 r) exp(-sqrt5 r) * (dx_j/l_j)^2
-    r = np.sqrt(_scaled_sqdist(Xn, Xn, ls))
-    base = s2 * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
+    # d K / d log l_j = s2*(5/3)(1+sqrt5 r) exp(-sqrt5 r) * (dx_j/l_j)^2,
+    # the negated gradient coefficient of the kernel block.
+    base = -coef
     g_ls = np.empty(d)
     for j in range(d):
         D2 = (Xn[:, j][:, None] - Xn[:, j][None, :]) ** 2 / ls[j] ** 2

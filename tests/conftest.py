@@ -1,4 +1,5 @@
-"""Shared fixtures and the finite-difference gradient checker.
+"""Shared fixtures, the finite-difference gradient checker and the fantasy
+marginal as the knowledge-gradient strategies compute it.
 
 The checker treats the analytic gradient as the trusted side and finite
 differences as the noisy oracle: for each point it sweeps several central
@@ -12,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from relbo.acquisition import _cross_cov, _fantasy_marginal
 from relbo.harness import initial_design
 from relbo.numerics import SobolStream
 from relbo.problems import get_problem
-from relbo.surrogate import fit_map
+from relbo.surrogate import fit_map, matern52
 
 FD_STEP_SCALES = (1e-4, 1e-5, 1e-6, 1e-7)
 
@@ -43,6 +45,28 @@ def fd_gradient_error(value_fn, x, grad, ranges, step_scales=FD_STEP_SCALES):
             best = min(best, abs(fd - grad[j]) / denom)
         worst = max(worst, best)
     return worst
+
+
+def fantasy_marginal(state, pts, y, z, want_grad):
+    """The posterior (mean, var) at ``pts`` after the fantasy observation
+    mu_n(y) + z sqrt(v_n(y)) at ``y``, by ``acquisition._fantasy_marginal``
+    fed the way the strategies feed it: from ``cross_cov_with_grad`` and
+    ``posterior_with_grad`` with ``want_grad`` (the one-shot objective and the
+    envelope gradient), else from ``posterior`` and ``_cross_cov`` (the
+    candidate scan and the final scoring)."""
+    y = np.asarray(y, float)
+    z = np.full(len(pts), float(z))
+    if want_grad:
+        mean, var, dmean, dvar, kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
+        _, vy, _, dvy = state.posterior_with_grad(y[None, :])
+        grads = (dmean, dvar, dk_dt, dk_dy, dvy[0])
+    else:
+        mean, var = state.posterior(pts)
+        pts_n = state.transforms.x_to_unit(pts)
+        kty = _cross_cov(state, pts_n, matern52(pts_n, state.Xn, state.hyperparams), y)
+        _, vy = state.posterior(y[None, :])
+        grads = None
+    return _fantasy_marginal(state, z, mean, var, kty, vy[0], grads)[:2]
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use: the (m, n, d) kernel
-gradient tensor, the refit route of the discrete knowledge gradient, the
-threshold calibration scan, the regularized lower incomplete gamma function
-and the curve CSV reader. The library computes the same quantities by other
-routes (or not at all); these are the oracles the tests check it against.
+gradient tensor, the refit on a fantasy observation and the route of the
+discrete knowledge gradient built on it, the threshold calibration scan, the
+regularized lower incomplete gamma function and the curve CSV reader. The
+library computes the same quantities by other routes (or not at all); these
+are the oracles the tests check it against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from relbo.acquisition import _value_from_log_p
 from relbo.numerics import SobolStream
 from relbo.reliability import SmoothingConfig, estimate_pn_batch
 from relbo.report import AggregateCurve
-from relbo.surrogate import GPHyperparams, _scaled_sqdist
+from relbo.surrogate import GPHyperparams, SurrogateState, _scaled_sqdist
 
 _SQRT5 = np.sqrt(5.0)
 
@@ -36,6 +37,21 @@ def matern52_grad_a(A, B, hp: GPHyperparams) -> np.ndarray:
     return G
 
 
+def refit_on_fantasy(state, y, z: float) -> SurrogateState:
+    """The brute-force fantasy posterior: append the observation
+    mu_n(y) + z sqrt(v_n(y)) at ``y`` and rebuild the whole state with the
+    same hyperparameters, transforms and jitter."""
+    y = np.asarray(y, float).reshape(-1)
+    mean, var = state.posterior(y[None, :])
+    return SurrogateState(
+        np.vstack([state.train_inputs, y[None, :]]),
+        np.append(state.train_targets, mean[0] + z * np.sqrt(var[0])),
+        state.transforms,
+        state.hyperparams,
+        jitter=state.jitter,
+    )
+
+
 def kg_discrete_value(
     state, y, spec, x_disc, z_sample, is_sample, bounds, c, baseline=None
 ):
@@ -52,7 +68,7 @@ def kg_discrete_value(
         baseline = float(np.max(_value_from_log_p(base_log, spec.use_log)))
     total = 0.0
     for z in z_sample:
-        fant = state.fantasize(y, float(z))
+        fant = refit_on_fantasy(state, y, float(z))
         log_p = estimate_pn_batch(fant, x_disc, is_sample, bounds, smoothing, c)
         best = np.max(_value_from_log_p(log_p, spec.use_log))
         if best == np.inf:

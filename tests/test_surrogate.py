@@ -1,5 +1,5 @@
 """Gaussian-process surrogate: kernel values, MAP fitting, posterior math,
-fantasy conditioning, and pathwise samples."""
+the fantasy update against a refit, and pathwise samples."""
 
 import tracemalloc
 
@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
 import relbo.numerics as numerics
-from conftest import fd_gradient_error
+from conftest import fantasy_marginal, fd_gradient_error
 from relbo.acquisition import _fantasy_log_p
 from relbo.numerics import SobolStream
 from relbo.reliability import ISSample, SmoothingConfig
@@ -17,12 +17,14 @@ from relbo.surrogate import (
     GPHyperparams,
     SurrogateState,
     Transforms,
+    _nll_and_grad,
     _scaled_sqdist,
     fit_map,
     matern52,
     prior_state,
 )
-from reference import matern52_grad_a
+from reference import matern52_grad_a, refit_on_fantasy
+from test_acquisition import fitted
 
 
 def unit_hp(s2=2.0, ls=0.3, d=2):
@@ -224,6 +226,25 @@ class TestFitMap:
         with pytest.raises(ValueError):
             fit_map(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("name, n", [("branin-2d", 25), ("hartmann-6d", 30)])
+    def test_map_objective_gradient_matches_fd(self, name, n):
+        # At points around the fitted hyperparameters, not at them: at the
+        # MAP the gradient is near zero, below the differences' rounding.
+        _, state = fitted(name, n)
+        hp, d = state.hyperparams, state.dim
+        zc_raw = state.transforms.y_standardize(state.train_targets)
+        theta = np.concatenate(
+            [[np.log(hp.output_scale_sq)], np.log(hp.lengthscales), [hp.constant_mean]]
+        )
+        offsets = np.random.default_rng(d).uniform(-0.5, 0.5, size=(3, d + 2))
+        for jitter in (0.0, 1e-6):
+            for th in theta + offsets:
+                _, grad = _nll_and_grad(th, state.Xn, zc_raw, jitter)
+                err = fd_gradient_error(
+                    lambda t: _nll_and_grad(t, state.Xn, zc_raw, jitter)[0], th, grad, 1.0
+                )
+                assert err < 1e-3
+
 
 class TestPosterior:
     def test_near_interpolation_at_training_inputs(self, branin_state):
@@ -326,10 +347,9 @@ class TestFusedPass:
         assert_close(path.evaluate_with_grad(xs)[1], plain_grads[:, 0])
 
     def test_cached_inverse_solves_like_cho_solve(self, branin_state):
-        # After two fantasies L^-1 is the bordered inverse of a bordered L.
-        fant = branin_state.fantasize(np.array([1.0, 3.0]), 0.7)
-        fant = fant.fantasize(np.array([-2.0, 11.0]), -0.4)
-        for st in (branin_state, fant):
+        once = refit_on_fantasy(branin_state, np.array([1.0, 3.0]), 0.7)
+        twice = refit_on_fantasy(once, np.array([-2.0, 11.0]), -0.4)
+        for st in (branin_state, once, twice):
             eye = np.eye(st.n)
             assert_close(st.chol_inv, solve_triangular(st.chol, eye, lower=True))
             B = matern52(st.Xn, st.transforms.x_to_unit(box_points(st, 64, 7)), st.hyperparams)
@@ -408,55 +428,34 @@ class TestBlocks:
 
 
 class TestFantasize:
+    """The rank-one fantasy update the knowledge gradient runs, against a
+    refit on the fantasy observation, by both routes that feed it."""
+
     def test_zero_z_preserves_mean(self, branin_state):
         y = np.array([2.0, 8.0])
-        fant = branin_state.fantasize(y, 0.0)
         m0, _ = branin_state.posterior(y[None, :])
-        m1, _ = fant.posterior(y[None, :])
-        assert abs(m1[0] - m0[0]) < 1e-8 * branin_state.transforms.output_std
+        for want_grad in (False, True):
+            m1, _ = fantasy_marginal(branin_state, y[None, :], y, 0.0, want_grad)
+            assert abs(m1[0] - m0[0]) < 1e-8 * branin_state.transforms.output_std
 
     def test_variance_collapses_to_noise(self, branin_state):
         y = np.array([-3.0, 12.0])
-        fant = branin_state.fantasize(y, 1.3)
-        _, var = fant.posterior(y[None, :])
         noise = NOISE_VARIANCE * branin_state.transforms.output_std**2
-        assert var[0] <= noise * (1 + 1e-6) + 1e-12
+        for want_grad in (False, True):
+            _, var = fantasy_marginal(branin_state, y[None, :], y, 1.3, want_grad)
+            assert var[0] <= noise * (1 + 1e-6) + 1e-12
 
     def test_matches_refit_at_fifty_points(self, branin_state):
         y = np.array([1.0, 3.0])
         z = 0.7
-        fant = branin_state.fantasize(y, z)
-        # Brute-force oracle: append the fantasy observation and rebuild the
-        # whole state from scratch with the same hyperparameters.
-        mean, var = branin_state.posterior(y[None, :])
-        v = mean[0] + z * np.sqrt(var[0])
-        refit = SurrogateState(
-            np.vstack([branin_state.train_inputs, y[None, :]]),
-            np.append(branin_state.train_targets, v),
-            branin_state.transforms,
-            branin_state.hyperparams,
-            jitter=branin_state.jitter,
-        )
-        pts = branin_state.transforms.input_lo + SobolStream(
-            2, scramble_seed=9
-        ).take(50) * branin_state.transforms.input_scale
-        m_f, v_f = fant.posterior(pts)
+        refit = refit_on_fantasy(branin_state, y, z)
+        pts = box_points(branin_state, 50, 9)
         m_r, v_r = refit.posterior(pts)
         scale = branin_state.transforms.output_std
-        assert np.max(np.abs(m_f - m_r)) < 1e-6 * scale
-        assert np.max(np.abs(v_f - v_r)) < 1e-6 * scale**2
-
-    def test_noop_at_degenerate_variance(self, branin_state):
-        y = branin_state.train_inputs[0]
-        once = branin_state.fantasize(y, 0.5)
-        twice = once.fantasize(y, 0.5)
-        # After one observation the variance is at the noise floor but not the
-        # nugget floor, so a second fantasy still appends; conditioning many
-        # times must stay numerically finite.
-        for _ in range(3):
-            twice = twice.fantasize(y, -0.5)
-        m, v = twice.posterior(y[None, :])
-        assert np.isfinite(m[0]) and np.isfinite(v[0]) and v[0] >= 0.0
+        for want_grad in (False, True):
+            m_f, v_f = fantasy_marginal(branin_state, pts, y, z, want_grad)
+            assert np.max(np.abs(m_f - m_r)) < 1e-6 * scale
+            assert np.max(np.abs(v_f - v_r)) < 1e-6 * scale**2
 
 
 class TestRFFPath:
