@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -220,10 +221,10 @@ def ts_mr_next(ctx: AcqContext):
     cand_vals = -estimate_ptilde_batch(path, cands, is_sample, bounds, smoothing, problem.c)
     starts = boltzmann_restarts(cands, cand_vals, spec.n_restarts, streams.restart_seed)
 
-    def x_objective(x):
-        est = estimate_ptilde(path, x, is_sample, bounds, smoothing, problem.c)
-        return est.log_p, est.grad_log_p
-
+    x_objective = partial(
+        estimate_ptilde, path, is_sample=is_sample, bounds=bounds, smoothing=smoothing,
+        c=problem.c,
+    )
     x_next, _, _ = multistart_qn(x_objective, bounds, starts)
 
     # Stage 2: perturbation maximizing density times indicator variance,
@@ -254,8 +255,7 @@ def ts_mr_next(ctx: AcqContext):
         u_score, ctx, u_bounds, u_cands, seed=streams.restart_seed + 1
     )
 
-    y = problem.perturb.combine(x_next, u_next)
-    y = np.clip(y, bounds[:, 0], bounds[:, 1])
+    y = np.clip(x_next + u_next, bounds[:, 0], bounds[:, 1])
     return y, AcqDiagnostics(
         value=float(u_val), rule="ts_mr", nominal=x_next, perturbation=u_next
     )

@@ -13,6 +13,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -141,9 +142,6 @@ def load_config(path, out_dir=None) -> ExperimentConfig:
     spec_kwargs["use_log"] = acq.getboolean("use_log", fallback=mode == "extreme")
     if "tau" not in spec_kwargs and mode == "non_extreme":
         spec_kwargs["tau"] = 1.0
-    problem = get_problem(prob["name"], mode)
-    spec_kwargs.setdefault("eps_s", problem.eps_s)
-    spec_kwargs.setdefault("delta_band", problem.delta_band)
     spec = AcquisitionSpec(**spec_kwargs)
 
     kwargs = {name: int(rec[k]) for k, name in _REC_KEYS.items() if k in rec}
@@ -228,11 +226,11 @@ def recommend(
     starts = boltzmann_restarts(cands, -log_p, restarts, _child_seed(seed, 3))
 
     def polish(is_sample, starts, **kwargs):
-        def log_p_and_grad(x):
-            est = estimate_pn(state, x, is_sample, bounds, smoothing, problem.c)
-            return est.log_p, est.grad_log_p
-
-        return multistart_qn(log_p_and_grad, bounds, starts, **kwargs)
+        objective = partial(
+            estimate_pn, state, is_sample=is_sample, bounds=bounds, smoothing=smoothing,
+            c=problem.c,
+        )
+        return multistart_qn(objective, bounds, starts, **kwargs)
 
     x_best, val, _ = polish(sample, starts)
     if d > 2:

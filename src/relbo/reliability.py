@@ -1,11 +1,14 @@
 """Failure-probability estimators.
 
-Everything funnels through the same smoothed, importance-weighted qMC sum:
-the surrogate-based estimate of the expected failure probability (and its
-negative log), the Thompson-path variant, and the hard-indicator ground-truth
-evaluator used for scoring recommendations. All accumulation happens in
-log-space so that probabilities far below 1e-8 neither underflow nor lose
-their gradients.
+Everything funnels through the same smoothed, importance-weighted qMC sum,
+the mean of w * J over the perturbations, J = Phi(h) * iota + (1 - iota):
+the surrogate-based estimate of the expected failure probability (h from the
+GP posterior marginal), the Thompson-path variant (h from a sample path),
+and the hard-indicator ground-truth evaluator used for scoring
+recommendations. One function, ``_log_j``, turns either source's h into
+log J and its gradient; ``estimate_pn`` and ``estimate_ptilde`` return
+(log_p, grad_log_p). All accumulation happens in log-space so that
+probabilities far below 1e-8 neither underflow nor lose their gradients.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ class PerturbationModel:
         z = u / self.sigmas
         return -0.5 * np.sum(z**2, axis=1) - np.sum(np.log(self.sigmas)) - 0.5 * self.dim * _LOG_2PI
 
-    def combine(self, x, u):
-        """g(x, u) = x + u (fixed additive for all shipped problems)."""
-        return np.asarray(x, float) + np.asarray(u, float)
-
 
 @dataclass(frozen=True)
 class ISSample:
@@ -59,7 +58,6 @@ class ISSample:
 
     points: np.ndarray  # (N, d)
     log_weights: np.ndarray  # (N,)
-    tau: float
 
     def __len__(self) -> int:
         return len(self.points)
@@ -78,7 +76,7 @@ def draw_is_sample(
     z = u / perturb.sigmas
     # log p(u) - log q(u) for the diagonal Gaussian pair
     log_w = perturb.dim * np.log(tau) + 0.5 * np.sum(z**2, axis=1) * (1.0 / tau**2 - 1.0)
-    return ISSample(u, log_w, tau)
+    return ISSample(u, log_w)
 
 
 @dataclass(frozen=True)
@@ -202,34 +200,41 @@ def _logsumexp(terms):
     return np.log1p(s / m) + np.log(m) + top[..., 0]
 
 
-def _phi_terms(state, mean, var, c):
-    """(log Phi(h), h, sigma, degenerate-mask) for h = (mean - c)/sigma.
+def _log_j(h_at, pts, bounds, delta, want_grad):
+    """log J for J = Phi(h) * iota + (1 - iota) at the points ``pts``, iota
+    their smoothed box indicator, and d log J, with the ratios of d log J to
+    dh and to d iota computed stably in the deep tail.
 
-    At the posterior-variance floor the value degenerates to the hard
-    indicator of mean >= c. ``var`` may broadcast against ``mean``.
+    ``h_at(sel)`` gives a source's standardized values h at the points
+    ``sel`` selects on the last axis: every point with ``want_grad``, else
+    those with iota > 0 (J = 1 elsewhere, whatever the source). With h come
+    its gradients dh, one row per point (None without ``want_grad``), and
+    the mask of points at the posterior-variance floor (None if the source
+    has no floor), where Phi(h) degenerates to the indicator of h >= 0.
+    Without gradients h may carry leading axes over the point axis (one row
+    per fantasy, say). The columns of dh may run past the d coordinates of a
+    point (derivatives w.r.t. a fantasy site, say); iota enters only the
+    first d.
+
+    Returns (log_j, dlog_j or None).
     """
-    floor = state.variance_floor
-    deg = var <= floor * (1.0 + 1e-6)
-    sigma = np.sqrt(np.maximum(var, floor))
-    h = (mean - c) / sigma
+    iota, diota = _feasibility_parts(pts, bounds, delta, want_grad)
+    sel = slice(None) if want_grad else iota > 0.0
+    h, dh, deg = h_at(sel)
+    iota = iota[sel]
     log_phi = std_normal_log_cdf(h)
-    if np.any(deg):
-        log_phi = np.where(deg, np.where(mean >= c, 0.0, -np.inf), log_phi)
-    return log_phi, h, sigma, deg
-
-
-def _smoothed_log_terms(log_phi, h, iota, want_grad, degenerate=None):
-    """log J for J = Phi(h)*iota + (1-iota), plus the two gradient ratios.
-
-    Returns (log_j, ratio_h, ratio_iota): d log J = ratio_h * dh + ratio_iota
-    * diota, with both ratios computed stably in the deep tail.
-    """
-    with np.errstate(divide="ignore"):
-        log_iota = np.where(iota > 0.0, np.log(np.maximum(iota, 1e-300)), -np.inf)
-        log_ciota = np.where(iota < 1.0, np.log1p(-np.minimum(iota, 1.0 - 1e-17)), -np.inf)
-    log_j = np.logaddexp(log_phi + log_iota, log_ciota)
+    if deg is not None and np.any(deg):
+        log_phi = np.where(deg, np.where(h >= 0.0, 0.0, -np.inf), log_phi)
+    log_j = log_phi
+    if want_grad or delta > 0.0:  # else the kept iota are all 1
+        with np.errstate(divide="ignore"):
+            log_iota = np.where(iota > 0.0, np.log(np.maximum(iota, 1e-300)), -np.inf)
+            log_ciota = np.where(iota < 1.0, np.log1p(-np.minimum(iota, 1.0 - 1e-17)), -np.inf)
+        log_j = np.logaddexp(log_phi + log_iota, log_ciota)
     if not want_grad:
-        return log_j, None, None
+        out = np.zeros((*h.shape[:-1], len(sel)))
+        out[..., sel] = log_j
+        return out, None
     pdf_log = std_normal_log_pdf(h)
     with np.errstate(invalid="ignore"):
         ratio_h = np.where(
@@ -238,76 +243,67 @@ def _smoothed_log_terms(log_phi, h, iota, want_grad, degenerate=None):
             0.0,
         )
     ratio_h = np.nan_to_num(ratio_h, nan=0.0)
-    if degenerate is not None:
-        ratio_h = np.where(degenerate, 0.0, ratio_h)
+    if deg is not None:
+        ratio_h = np.where(deg, 0.0, ratio_h)
     j_safe = np.exp(np.maximum(log_j, -700.0))
-    phi = np.exp(log_phi)
-    ratio_iota = np.where(iota < 1.0, (phi - 1.0) / j_safe, 0.0)
-    return log_j, ratio_h, ratio_iota
+    ratio_iota = np.where(iota < 1.0, (np.exp(log_phi) - 1.0) / j_safe, 0.0)
+    dlog_j = ratio_h[:, None] * dh
+    dlog_j[:, : diota.shape[1]] += ratio_iota[:, None] * diota
+    return log_j, dlog_j
 
 
 def _gp_log_j(state, xs, is_sample, bounds, smoothing, c, want_grad):
     """log J under the GP posterior marginal at every design in ``xs`` plus
-    every perturbation, shape (m, n_u), and d log J / d design, (m, n_u, d)."""
+    every perturbation, shape (m * n_u,), and d log J / d design, (m * n_u, d)."""
     pts = perturbed_grid(xs, is_sample)
     if want_grad:
         marginal = state.posterior_with_grad(pts)
     else:
         marginal = (*state.posterior(pts), None, None)
-    log_j, dlog_j = _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
-    shape = (len(pts) // len(is_sample), len(is_sample))
-    return log_j.reshape(shape), None if dlog_j is None else dlog_j.reshape(*shape, -1)
+    return _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
 
 
 def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c):
-    """``_gp_log_j`` from a posterior marginal already computed at ``pts``.
+    """``_log_j`` of a posterior marginal already computed at ``pts``, for
+    h = (mean - c) / sigma, sigma the floored posterior sd.
 
-    Without gradients ``mean`` and ``var`` may carry leading axes over the
-    point axis (one row per fantasy, say), and log Phi is evaluated only where
-    the box indicator is positive: J = 1 elsewhere, whatever the posterior.
-    d log J is computed (and returned) when ``dmean`` is given. Its columns
-    may run past the d coordinates of a point (derivatives w.r.t. a fantasy
-    site, say); the indicator enters only the first d.
+    d log J is formed when ``dmean`` is given. Without it ``mean`` and ``var``
+    may carry leading axes over the point axis and are gathered at the points
+    ``_log_j`` keeps before h is formed.
     """
-    want_grad = dmean is not None
-    iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, want_grad)
-    if not want_grad:
-        keep = iota > 0.0
-        log_j = np.zeros_like(mean)
-        log_phi, h, _, _ = _phi_terms(state, mean[..., keep], var[..., keep], c)
-        if smoothing.delta > 0.0:  # at delta = 0 the kept iota are all 1
-            log_phi = _smoothed_log_terms(log_phi, h, iota[keep], False)[0]
-        log_j[..., keep] = log_phi
-        return log_j, None
-    log_phi, h, sigma, deg = _phi_terms(state, mean, var, c)
-    log_j, ratio_h, ratio_iota = _smoothed_log_terms(log_phi, h, iota, True, degenerate=deg)
-    dsigma = dvar / (2.0 * sigma[:, None])
-    with np.errstate(invalid="ignore"):
-        dh = np.nan_to_num((dmean - h[:, None] * dsigma) / sigma[:, None], nan=0.0)
-    dlog_j = ratio_h[:, None] * dh
-    dlog_j[:, : pts.shape[1]] += ratio_iota[:, None] * diota
-    return log_j, dlog_j
+    floor = state.variance_floor
+
+    def h_at(sel):
+        v = var[..., sel]
+        sigma = np.sqrt(np.maximum(v, floor))
+        h = (mean[..., sel] - c) / sigma
+        deg = v <= floor * (1.0 + 1e-6)
+        if dmean is None:
+            return h, None, deg
+        dsigma = dvar / (2.0 * sigma[:, None])
+        with np.errstate(invalid="ignore"):
+            dh = np.nan_to_num((dmean - h[:, None] * dsigma) / sigma[:, None], nan=0.0)
+        return h, dh, deg
+
+    return _log_j(h_at, pts, bounds, smoothing.delta, dmean is not None)
 
 
 def _rff_log_j(path, xs, is_sample, bounds, smoothing, c, want_grad):
     """log J for a sample path at every design in ``xs`` plus every
-    perturbation, the threshold smoothed by Phi((path - c) / rho), shape
-    (m, n_u), and d log J / d design, (m, n_u, d)."""
+    perturbation, for h = (path - c) / rho, shape (m * n_u,), and d log J /
+    d design, (m * n_u, d)."""
     xs = np.atleast_2d(np.asarray(xs, float))
     if want_grad:
         vals, dvals = path.evaluate_with_grad(xs, is_sample.points)
+        dh = dvals.reshape(-1, xs.shape[1]) / smoothing.rho
     else:
-        vals = path.evaluate(xs, is_sample.points)
-    h = (vals - c) / smoothing.rho
-    log_phi = std_normal_log_cdf(h)
-    pts = perturbed_grid(xs, is_sample)
-    iota, diota = _feasibility_parts(pts, bounds, smoothing.delta, want_grad)
-    iota = iota.reshape(vals.shape)
-    log_j, ratio_h, ratio_iota = _smoothed_log_terms(log_phi, h, iota, want_grad)
-    if not want_grad:
-        return log_j, None
-    dh = dvals / smoothing.rho
-    return log_j, ratio_h[..., None] * dh + ratio_iota[..., None] * diota.reshape(dh.shape)
+        vals, dh = path.evaluate(xs, is_sample.points), None
+    vals = vals.reshape(-1)
+
+    def h_at(sel):
+        return (vals[sel] - c) / smoothing.rho, dh, None
+
+    return _log_j(h_at, perturbed_grid(xs, is_sample), bounds, smoothing.delta, want_grad)
 
 
 def perturbed_grid(xs, is_sample):
@@ -319,27 +315,16 @@ def perturbed_grid(xs, is_sample):
 # -- the smoothed, importance-weighted estimators --------------------------
 
 
-@dataclass(frozen=True)
-class PnEstimate:
-    p: float
-    log_p: float  # -inf when every term underflows
-    r: float  # -log p; +inf sentinel when p == 0
-    grad_log_p: np.ndarray | None  # d log p / d x
-
-
-def _estimate(log_j_fn, model, x, is_sample, bounds, smoothing, c, want_grad):
+def _estimate(log_j_fn, model, x, is_sample, bounds, smoothing, c):
     xs = np.asarray(x, float).reshape(1, -1)
-    log_j, dlog_j = log_j_fn(model, xs, is_sample, bounds, smoothing, c, want_grad)
-    log_p, grad = log_mean_wj(
-        is_sample.log_weights, log_j[0], None if dlog_j is None else dlog_j[0]
-    )
-    log_p = float(log_p) if np.isfinite(log_p) else -np.inf
-    return PnEstimate(float(np.exp(log_p)), log_p, -log_p, grad)
+    log_j, dlog_j = log_j_fn(model, xs, is_sample, bounds, smoothing, c, True)
+    log_p, grad = log_mean_wj(is_sample.log_weights, log_j, dlog_j)
+    return (float(log_p) if np.isfinite(log_p) else -np.inf), grad
 
 
 def _estimate_batch(log_j_fn, model, xs, is_sample, bounds, smoothing, c):
     log_j, _ = log_j_fn(model, xs, is_sample, bounds, smoothing, c, False)
-    return log_mean_wj(is_sample.log_weights, log_j)[0]
+    return log_mean_wj(is_sample.log_weights, log_j.reshape(-1, len(is_sample)))[0]
 
 
 def estimate_pn(
@@ -349,12 +334,12 @@ def estimate_pn(
     bounds,
     smoothing: SmoothingConfig,
     c: float,
-    want_grad: bool = True,
-) -> PnEstimate:
-    """Smoothed, importance-weighted qMC estimate of the expected failure
-    probability at nominal design ``x``, with the exact gradient of its log.
+) -> tuple[float, np.ndarray]:
+    """Smoothed, importance-weighted qMC estimate of the log expected failure
+    probability at nominal design ``x`` (-inf when every term underflows),
+    and its exact gradient: (log_p, grad_log_p).
     """
-    return _estimate(_gp_log_j, state, x, is_sample, bounds, smoothing, c, want_grad)
+    return _estimate(_gp_log_j, state, x, is_sample, bounds, smoothing, c)
 
 
 def estimate_ptilde(
@@ -364,11 +349,10 @@ def estimate_ptilde(
     bounds,
     smoothing: SmoothingConfig,
     c: float,
-    want_grad: bool = True,
-) -> PnEstimate:
-    """Failure probability of a posterior sample path, with the threshold
-    indicator smoothed by Phi((path - c) / rho)."""
-    return _estimate(_rff_log_j, path, x, is_sample, bounds, smoothing, c, want_grad)
+) -> tuple[float, np.ndarray]:
+    """(log_p, grad_log_p) of the failure probability of a posterior sample
+    path, with the threshold indicator smoothed by Phi((path - c) / rho)."""
+    return _estimate(_rff_log_j, path, x, is_sample, bounds, smoothing, c)
 
 
 def estimate_pn_batch(

@@ -1,5 +1,6 @@
-"""Shared fixtures, the finite-difference gradient checker and the fantasy
-marginal as the knowledge-gradient strategies compute it.
+"""Shared fixtures, the finite-difference gradient checker, the fantasy
+marginal as the knowledge-gradient strategies compute it and the per-point
+log J of the GP estimator.
 
 The checker treats the analytic gradient as the trusted side and finite
 differences as the noisy oracle: for each point it sweeps several central
@@ -17,7 +18,8 @@ from relbo.acquisition import _cross_cov, _fantasy_marginal
 from relbo.harness import initial_design
 from relbo.numerics import SobolStream
 from relbo.problems import get_problem
-from relbo.surrogate import fit_map, matern52
+from relbo.reliability import ISSample, estimate_pn_batch
+from relbo.surrogate import GPHyperparams, SurrogateState, Transforms, fit_map, matern52
 
 FD_STEP_SCALES = (1e-4, 1e-5, 1e-6, 1e-7)
 
@@ -67,6 +69,24 @@ def fantasy_marginal(state, pts, y, z, want_grad):
         _, vy = state.posterior(y[None, :])
         grads = None
     return _fantasy_marginal(state, z, mean, var, kty, vy[0], grads)[:2]
+
+
+def log_j_at(state, pts, bounds, smoothing, c):
+    """log J of the GP estimator at each of the points ``pts``: the estimate
+    at that design under the one-point importance sample u = 0, weight 1."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    origin = ISSample(np.zeros((1, pts.shape[1])), np.zeros(1))
+    return estimate_pn_batch(state, pts, origin, bounds, smoothing, c)
+
+
+@pytest.fixture(scope="session")
+def noiseless_state():
+    """A surrogate with a negligible noise variance: at its training inputs
+    the posterior variance sits at the floor."""
+    X = SobolStream(2, scramble_seed=2).take(12)
+    y = np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2
+    hp = GPHyperparams(1.0, np.full(2, 0.3), 0.0, noise_variance=1e-14)
+    return SurrogateState(X, y, Transforms.from_data(X, y, [[0, 1], [0, 1]]), hp)
 
 
 @pytest.fixture(scope="session")

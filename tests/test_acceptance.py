@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fantasy_marginal, fd_gradient_error
+from conftest import fantasy_marginal, fd_gradient_error, log_j_at
 from test_numerics import log_phi_asymptotic
 
 from relbo.acquisition import (
@@ -64,6 +64,7 @@ from relbo.reliability import (
     estimate_pn,
     estimate_pn_batch,
     estimate_ptilde,
+    estimate_ptilde_batch,
     evaluate_true_failure,
 )
 from relbo.surrogate import fit_map
@@ -158,16 +159,15 @@ def test_criterion_04_gradient_suite(branin_state, branin_problem):
 
     checked = 0
     for x in box_points(prob.bounds, 40, seed=14):
-        est = estimate_pn(branin_state, x, sample, prob.bounds, smoothing, prob.c)
-        if not np.isfinite(est.log_p):
+        log_p, grad = estimate_pn(branin_state, x, sample, prob.bounds, smoothing, prob.c)
+        if not np.isfinite(log_p):
             continue
         err = fd_gradient_error(
-            lambda p: estimate_pn(
-                branin_state, p, sample, prob.bounds, smoothing, prob.c,
-                want_grad=False,
-            ).log_p,
+            lambda p: estimate_pn_batch(
+                branin_state, p[None, :], sample, prob.bounds, smoothing, prob.c
+            )[0],
             x,
-            est.grad_log_p,
+            grad,
             span,
         )
         assert err <= 1e-3
@@ -180,16 +180,15 @@ def test_criterion_04_gradient_suite(branin_state, branin_problem):
     path_smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.5)
     checked_path = 0
     for x in box_points(prob.bounds, 40, seed=15):
-        est = estimate_ptilde(path, x, sample, prob.bounds, path_smoothing, prob.c)
-        if not np.isfinite(est.log_p):
+        log_p, grad = estimate_ptilde(path, x, sample, prob.bounds, path_smoothing, prob.c)
+        if not np.isfinite(log_p):
             continue
         err = fd_gradient_error(
-            lambda p: estimate_ptilde(
-                path, p, sample, prob.bounds, path_smoothing, prob.c,
-                want_grad=False,
-            ).log_p,
+            lambda p: estimate_ptilde_batch(
+                path, p[None, :], sample, prob.bounds, path_smoothing, prob.c
+            )[0],
             x,
-            est.grad_log_p,
+            grad,
             span,
         )
         assert err <= 1e-3
@@ -292,12 +291,7 @@ def test_criterion_06_egra_closed_form():
 
 def pn_terms(state, x, sample, bounds, smoothing, c):
     """Per-sample contributions to the probability estimate (for SEs)."""
-    from relbo.reliability import _feasibility_parts, _phi_terms, _smoothed_log_terms
-
-    mean_b, var_b = state.posterior(x + sample.points)
-    log_phi, h, _, deg = _phi_terms(state, mean_b, var_b, c)
-    iota, _ = _feasibility_parts(x + sample.points, bounds, smoothing.delta, False)
-    log_j, _, _ = _smoothed_log_terms(log_phi, h, iota, False, degenerate=deg)
+    log_j = log_j_at(state, x + sample.points, bounds, smoothing, c)
     return np.exp(sample.log_weights + log_j)
 
 

@@ -112,14 +112,8 @@ def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
         "cross_cov_with_grad": state.cross_cov_with_grad(pts, y),
         "rff.evaluate": (path.evaluate(pts),),
         "rff.evaluate_with_grad": path.evaluate_with_grad(pts),
-        "estimate_pn": sum(
-            ((e.log_p, e.grad_log_p) for e in (estimate_pn(state, x, *grid) for x in xs[:4])),
-            (),
-        ),
-        "estimate_ptilde": sum(
-            ((e.log_p, e.grad_log_p) for e in (estimate_ptilde(path, x, *grid) for x in xs[:4])),
-            (),
-        ),
+        "estimate_pn": sum((estimate_pn(state, x, *grid) for x in xs[:4]), ()),
+        "estimate_ptilde": sum((estimate_ptilde(path, x, *grid) for x in xs[:4]), ()),
         "estimate_pn_batch": (estimate_pn_batch(state, xs, *grid),),
         "estimate_ptilde_batch": (estimate_ptilde_batch(path, xs, *grid),),
         "fantasy_scan": (scan.scan(xs[:8]),),

@@ -123,6 +123,19 @@ class TestConfig:
         assert a.hash() != c.hash()
         assert len(a.hash()) == 16
 
+    @pytest.mark.parametrize("kind", ["hc", "kg_mr_oneshot"])
+    def test_ini_and_python_routes_hash_alike(self, tmp_path, kind):
+        # README's example experiment, once as an INI file and once built in
+        # Python: one experiment, one hash, so both write the same traces.
+        text = (
+            f"[problem]\nname = branin-2d\nmode = extreme\n\n[acquisition]\nkind = {kind}\n"
+            "n_u = 64\nn_v = 32\n\n[budget]\nn_tot = 50\nrepeats = 5\nbase_seed = 0\n\n"
+            "[recommendation]\nstride = 1\n"
+        )
+        spec = AcquisitionSpec(kind, n_u=64, n_v=32)
+        built = ExperimentConfig("branin-2d", spec, n_tot=50, repeats=5)
+        assert load_config(write_config(tmp_path, text)).hash() == built.hash()
+
     def test_budget_below_initial_design_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             sobol_config(tmp_path, n_tot=3)  # quadratic-2d has n_0 = 6

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, logsumexp
 
-from conftest import fd_gradient_error
+from conftest import fd_gradient_error, log_j_at
 from relbo.numerics import SobolStream
 from relbo.problems import get_problem
 from relbo.reliability import (
@@ -19,11 +19,10 @@ from relbo.reliability import (
     estimate_pn,
     estimate_pn_batch,
     estimate_ptilde,
+    estimate_ptilde_batch,
     evaluate_true_failure,
     _feasibility_parts,
     _gp_log_j,
-    _phi_terms,
-    _smoothed_log_terms,
     log_mean_wj,
     smooth_feasibility,
 )
@@ -49,10 +48,6 @@ class TestPerturbationModel:
         )
         np.testing.assert_allclose(model.log_density(u), want, atol=1e-12)
 
-    def test_combine_is_additive(self):
-        model = PerturbationModel(np.array([1.0]))
-        np.testing.assert_array_equal(model.combine([1.0], [0.25]), [1.25])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PerturbationModel(np.array([0.5, 0.0]))
@@ -69,7 +64,7 @@ class TestDrawIsSample:
         # The unscrambled stream's first point maps u1 -> clipped tiny value,
         # so compute the weight formula directly at u = 0 instead.
         sample = draw_is_sample(model, 3.0, 4, u_stream(2, seed=1))
-        zero = ISSample(np.zeros((1, 2)), np.zeros(1), 3.0)
+        zero = ISSample(np.zeros((1, 2)), np.zeros(1))
         log_w = 2 * np.log(3.0) + 0.0
         # Cross-check the stored weights against the same formula.
         z = sample.points / model.sigmas
@@ -148,28 +143,42 @@ def flat_state(mean_value, sd=1.0, bounds=UNIT_BOX):
 
 
 def log_phi_at(state, y, c):
-    """(log Phi, degenerate) of the posterior failure probability at ``y``."""
-    mean, var = state.posterior(np.atleast_2d(y))
-    log_phi, _, _, deg = _phi_terms(state, mean, var, c)
-    return float(log_phi[0]), bool(deg[0])
+    """log Phi of the posterior failure probability at the interior point
+    ``y``, where the hard box indicator is 1 and J = Phi."""
+    return float(log_j_at(state, y, UNIT_BOX, SmoothingConfig(0.0), c)[0])
 
 
 class TestPhiN:
     def test_mean_at_threshold(self):
         state = flat_state(2.0)
-        log_p, deg = log_phi_at(state, np.array([0.5, 0.5]), 2.0)
-        assert abs(np.exp(log_p) - 0.5) < 1e-12 and not deg
+        log_p = log_phi_at(state, np.array([0.5, 0.5]), 2.0)
+        assert abs(np.exp(log_p) - 0.5) < 1e-12
 
     def test_mean_one_sigma_above(self):
         state = flat_state(3.0, sd=1.0)
-        log_p, _ = log_phi_at(state, np.array([0.5, 0.5]), 2.0)
+        log_p = log_phi_at(state, np.array([0.5, 0.5]), 2.0)
         assert abs(np.exp(log_p) - 0.8413447) < 1e-7
 
     def test_deep_tail_log_finite(self):
         state = flat_state(0.0, sd=1.0)
-        log_p, _ = log_phi_at(state, np.array([0.5, 0.5]), 30.0)
+        log_p = log_phi_at(state, np.array([0.5, 0.5]), 30.0)
         assert np.isfinite(log_p)
         assert abs(log_p - (-454.32)) < 0.01
+
+
+def assert_batch_equals_loop(model, batch_fn, loop_fn, prob):
+    """A source's batch estimate against looping its single-design form: the
+    batch form scans log P without gradients, evaluating the source only
+    where the box indicator is positive; the single-design form takes the
+    gradient route over every point."""
+    sample = draw_is_sample(prob.perturb, 3.0, 64, u_stream(2, seed=10))
+    smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.5)
+    xs = prob.bounds[:, 0] + SobolStream(2, scramble_seed=11).take(16) * (
+        prob.bounds[:, 1] - prob.bounds[:, 0]
+    )
+    args = (sample, prob.bounds, smoothing, prob.c)
+    loop = np.array([loop_fn(model, x, *args)[0] for x in xs])
+    np.testing.assert_allclose(batch_fn(model, xs, *args), loop, atol=1e-10)
 
 
 class TestEstimatePn:
@@ -181,21 +190,21 @@ class TestEstimatePn:
 
     def test_reliable_region_gives_tiny_p(self):
         state = flat_state(-10.0, sd=1.0)  # mean 10 sigma below c = 0
-        est = estimate_pn(
+        log_p, _ = estimate_pn(
             state, np.array([0.5, 0.5]), self.sample(), UNIT_BOX, self.smoothing(), 0.0
         )
-        assert est.p < 1e-10
-        assert est.r > 23.0
+        assert np.exp(log_p) < 1e-10
+        assert -log_p > 23.0
 
     def test_exterior_mass_saturates_to_one(self):
         state = flat_state(-10.0, sd=1.0)
         smoothing = SmoothingConfig(1e-6)
-        est = estimate_pn(
+        log_p, _ = estimate_pn(
             state, np.array([3.0, 3.0]), self.sample(), UNIT_BOX, smoothing, 0.0
         )
         # All perturbed points fall outside the box: J = 1 for each of them,
         # so the estimate is the mean importance weight (close to 1).
-        assert abs(est.p - np.mean(np.exp(self.sample().log_weights))) < 1e-9
+        assert abs(np.exp(log_p) - np.mean(np.exp(self.sample().log_weights))) < 1e-9
 
     def test_gradient_matches_fd_on_branin_surrogate(self, branin_state, branin_problem):
         prob = branin_problem
@@ -206,16 +215,15 @@ class TestEstimatePn:
         checked = 0
         for _ in range(30):
             x = prob.bounds[:, 0] + rng.uniform(size=2) * span
-            est = estimate_pn(branin_state, x, sample, prob.bounds, smoothing, prob.c)
-            if not np.isfinite(est.log_p):
+            log_p, grad = estimate_pn(branin_state, x, sample, prob.bounds, smoothing, prob.c)
+            if not np.isfinite(log_p):
                 continue
             err = fd_gradient_error(
-                lambda p: estimate_pn(
-                    branin_state, p, sample, prob.bounds, smoothing, prob.c,
-                    want_grad=False,
-                ).log_p,
+                lambda p: estimate_pn_batch(
+                    branin_state, p[None, :], sample, prob.bounds, smoothing, prob.c
+                )[0],
                 x,
-                est.grad_log_p,
+                grad,
                 span,
             )
             assert err < 1e-3
@@ -227,11 +235,11 @@ class TestEstimatePn:
         sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(2, seed=6))
         smoothing = SmoothingConfig.for_box(prob.bounds)
         x = np.array([2.0, 7.0])
-        ps = [
-            estimate_pn(branin_state, x, sample, prob.bounds, smoothing, c, want_grad=False).p
+        log_ps = [
+            estimate_pn_batch(branin_state, x[None, :], sample, prob.bounds, smoothing, c)[0]
             for c in (20.0, 60.0, 120.0)
         ]
-        assert ps[0] >= ps[1] >= ps[2]
+        assert log_ps[0] >= log_ps[1] >= log_ps[2]
 
     def test_delta_zero_limit(self, branin_state, branin_problem):
         prob = branin_problem
@@ -246,15 +254,11 @@ class TestEstimatePn:
         interior = margins[margins > 0]
         delta = min(0.5 * float(interior.min()), 0.05)
         assert delta > 0
-        a = estimate_pn(
-            branin_state, x, sample, prob.bounds, SmoothingConfig(delta), prob.c,
-            want_grad=False,
+        a, b = (
+            estimate_pn_batch(branin_state, x[None, :], sample, prob.bounds, sm, prob.c)[0]
+            for sm in (SmoothingConfig(delta), SmoothingConfig(0.0))
         )
-        b = estimate_pn(
-            branin_state, x, sample, prob.bounds, SmoothingConfig(0.0), prob.c,
-            want_grad=False,
-        )
-        assert abs(a.log_p - b.log_p) < 1e-9
+        assert abs(a - b) < 1e-9
 
     def test_tau_invariance(self, quadratic_state, quadratic_problem):
         prob = quadratic_problem
@@ -263,17 +267,15 @@ class TestEstimatePn:
         stats = {}
         for tau in (1.0, 2.0, 3.0):
             sample = draw_is_sample(prob.perturb, tau, 2**16, u_stream(2, seed=9))
-            est = estimate_pn(
-                quadratic_state, x, sample, prob.bounds, smoothing, prob.c,
-                want_grad=False,
-            )
+            log_p = estimate_pn_batch(
+                quadratic_state, x[None, :], sample, prob.bounds, smoothing, prob.c
+            )[0]
             # Empirical standard error of the weighted mean of J-terms.
-            mean_b, var_b = quadratic_state.posterior(x + sample.points)
-            log_phi, h, _, deg = _phi_terms(quadratic_state, mean_b, var_b, prob.c)
-            iota, _ = _feasibility_parts(x + sample.points, prob.bounds, smoothing.delta, False)
-            log_j, _, _ = _smoothed_log_terms(log_phi, h, iota, False, degenerate=deg)
+            log_j = log_j_at(
+                quadratic_state, x + sample.points, prob.bounds, smoothing, prob.c
+            )
             terms = np.exp(sample.log_weights + log_j)
-            stats[tau] = (est.p, terms.std() / np.sqrt(len(terms)))
+            stats[tau] = (np.exp(log_p), terms.std() / np.sqrt(len(terms)))
         for tau in (2.0, 3.0):
             diff = abs(stats[tau][0] - stats[1.0][0])
             se = np.hypot(stats[tau][1], stats[1.0][1])
@@ -284,30 +286,47 @@ class TestEstimatePn:
         # makes every term exactly zero in log space.
         state = flat_state(0.0, sd=1.0)
         sample = self.sample(sigma=0.01)
-        est = estimate_pn(
+        log_p, grad = estimate_pn(
             state, np.array([0.5, 0.5]), sample, UNIT_BOX, self.smoothing(), np.inf
         )
-        assert est.p == 0.0 and est.log_p == -np.inf and est.r == np.inf
-        assert not np.any(np.isnan(est.grad_log_p))
+        assert log_p == -np.inf
+        assert not np.any(np.isnan(grad))
 
     def test_batch_equals_loop(self, branin_state, branin_problem):
-        prob = branin_problem
-        sample = draw_is_sample(prob.perturb, 3.0, 64, u_stream(2, seed=10))
-        smoothing = SmoothingConfig(0.0)
-        xs = prob.bounds[:, 0] + SobolStream(2, scramble_seed=11).take(16) * (
-            prob.bounds[:, 1] - prob.bounds[:, 0]
+        assert_batch_equals_loop(branin_state, estimate_pn_batch, estimate_pn, branin_problem)
+
+    def test_degenerate_at_variance_floor(self, noiseless_state):
+        # At its training inputs the state's posterior variance is at the
+        # floor, where Phi(h) is the indicator of mean >= c: J = 1 there and
+        # 1 - iota below the threshold, with no gradient through h. The
+        # threshold sits half a floor sd below one of the means, so h = 0.5
+        # there.
+        st = noiseless_state
+        X, bounds = st.train_inputs, np.array([[0.0, 1.0], [0.0, 1.0]])
+        mean, var = st.posterior(X)
+        assert np.all(var == st.variance_floor)
+        c = np.sort(mean)[6] - 0.5 * np.sqrt(st.variance_floor)
+        smoothing = SmoothingConfig(0.3)  # 0 < iota < 1 at several inputs
+        iota, diota = _feasibility_parts(X, bounds, smoothing.delta, want_grad=True)
+        assert np.any((iota > 0.0) & (iota < 1.0) & (mean < c))
+        assert np.any((iota > 0.0) & (iota < 1.0) & (mean >= c))
+        origin = ISSample(np.zeros((1, 2)), np.zeros(1))
+        ests = [estimate_pn(st, x, origin, bounds, smoothing, c) for x in X]
+        log_j = np.array([log_p for log_p, _ in ests])
+        dlog_j = np.array([grad for _, grad in ests])
+        above = mean >= c
+        with np.errstate(divide="ignore"):
+            want = np.where(above, 0.0, np.log1p(-iota))
+        np.testing.assert_allclose(log_j, want, rtol=0.0, atol=1e-15)
+        # d log J is d log(1 - iota) below the threshold and zero above it.
+        assert np.all(dlog_j[above] == 0.0)
+        below = ~above & (iota < 1.0)
+        np.testing.assert_allclose(
+            dlog_j[below], -diota[below] / (1.0 - iota[below, None]), rtol=1e-12
         )
-        batch = estimate_pn_batch(branin_state, xs, sample, prob.bounds, smoothing, prob.c)
-        loop = np.array(
-            [
-                estimate_pn(
-                    branin_state, x, sample, prob.bounds, smoothing, prob.c,
-                    want_grad=False,
-                ).log_p
-                for x in xs
-            ]
-        )
-        np.testing.assert_allclose(batch, loop, atol=1e-10)
+        assert np.all(dlog_j[~above & (iota == 1.0)] == 0.0)
+        # The masked scan without gradients gives the same log J.
+        np.testing.assert_array_equal(log_j_at(st, X, bounds, smoothing, c), log_j)
 
 
 class TestLogMeanWj:
@@ -345,7 +364,6 @@ class TestLogMeanWj:
         log_j, _ = _gp_log_j(
             branin_state, x, sample, prob.bounds, SmoothingConfig(0.5), prob.c, False
         )
-        log_j = log_j[0]
         got, _ = log_mean_wj(sample.log_weights, log_j)
         assert np.ndim(got) == 0
         np.testing.assert_array_equal(got, self.scipy_log_mean(sample.log_weights, log_j))
@@ -358,16 +376,14 @@ class TestEstimatePtilde:
         sample = draw_is_sample(prob.perturb, 3.0, 128, u_stream(2, seed=12))
         smoothing = SmoothingConfig.for_box(prob.bounds, rho=1e-6)
         # Threshold far below the function range: every point fails.
-        est = estimate_ptilde(
-            branin_state.draw_rff_path(512, seed=0),
-            np.array([2.0, 7.0]),
-            sample,
-            prob.bounds,
-            smoothing,
-            c=-1e6,
-            want_grad=False,
-        )
-        assert abs(est.p - np.mean(np.exp(sample.log_weights))) < 1e-6
+        log_p = estimate_ptilde_batch(
+            path, np.array([[2.0, 7.0]]), sample, prob.bounds, smoothing, c=-1e6
+        )[0]
+        assert abs(np.exp(log_p) - np.mean(np.exp(sample.log_weights))) < 1e-6
+
+    def test_batch_equals_loop(self, branin_state, branin_problem):
+        path = branin_state.draw_rff_path(512, seed=2)
+        assert_batch_equals_loop(path, estimate_ptilde_batch, estimate_ptilde, branin_problem)
 
     def test_gradient_matches_fd(self, branin_state, branin_problem):
         prob = branin_problem
@@ -379,15 +395,15 @@ class TestEstimatePtilde:
         checked = 0
         for _ in range(30):
             x = prob.bounds[:, 0] + rng.uniform(size=2) * span
-            est = estimate_ptilde(path, x, sample, prob.bounds, smoothing, prob.c)
-            if not np.isfinite(est.log_p):
+            log_p, grad = estimate_ptilde(path, x, sample, prob.bounds, smoothing, prob.c)
+            if not np.isfinite(log_p):
                 continue
             err = fd_gradient_error(
-                lambda p: estimate_ptilde(
-                    path, p, sample, prob.bounds, smoothing, prob.c, want_grad=False
-                ).log_p,
+                lambda p: estimate_ptilde_batch(
+                    path, p[None, :], sample, prob.bounds, smoothing, prob.c
+                )[0],
                 x,
-                est.grad_log_p,
+                grad,
                 span,
             )
             assert err < 1e-3

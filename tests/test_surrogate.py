@@ -135,16 +135,6 @@ def assert_cross_cov_close(state, points, y):
     return fused
 
 
-@pytest.fixture(scope="module")
-def noiseless_state():
-    """A surrogate with a negligible noise variance: at its training inputs
-    the posterior variance sits at the floor."""
-    X = SobolStream(2, scramble_seed=2).take(12)
-    y = np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2
-    hp = GPHyperparams(1.0, np.full(2, 0.3), 0.0, noise_variance=1e-14)
-    return SurrogateState(X, y, Transforms.from_data(X, y, [[0, 1], [0, 1]]), hp)
-
-
 class TestKernel:
     def test_zero_distance(self):
         hp = unit_hp(s2=3.5)
@@ -371,7 +361,7 @@ class TestFusedPass:
         # inputs, where the fantasy variance is degenerate.
         st = noiseless_state
         u = np.vstack([np.zeros((1, 2)), 0.05 * SobolStream(2, scramble_seed=3).take(7) - 0.025])
-        sample = ISSample(u, np.zeros(8), 1.0)
+        sample = ISSample(u, np.zeros(8))
         xs, z = st.train_inputs[:4], np.array([-1.0, -0.2, 0.4, 1.3])
         args = (st, np.array([0.52, 0.47]), z, xs, sample, [[0, 1], [0, 1]],
                 SmoothingConfig(0.05), 0.4)
