@@ -215,6 +215,7 @@ def ts_mr_next(ctx: AcqContext):
     smoothing = SmoothingConfig.for_box(bounds, rho=spec.rho)
     path = state.draw_rff_path(1024, seed=streams.path_seed)
     is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
+    path = path.fix_perturbations(is_sample.points)
 
     # Stage 1: nominal design minimizing the path's log failure probability.
     cands = _raw_candidates(ctx)

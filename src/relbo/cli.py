@@ -63,11 +63,8 @@ def _cmd_report(args):
         if args.algorithms and alg not in args.algorithms:
             continue
         for rec in manifest["repeats"].values():
-            if rec["status"] == "ok" and rec["trace"]:
-                trace = Path(rec["trace"])
-                if not trace.is_absolute():
-                    trace = in_dir / trace.name
-                groups.setdefault((prob, alg), []).append(trace)
+            if rec["status"] == "ok" and rec["trace"]:  # relative to the manifest
+                groups.setdefault((prob, alg), []).append(mpath.parent / rec["trace"])
     if not groups:
         print("no completed traces matched the filters", file=sys.stderr)
         return 1

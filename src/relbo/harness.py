@@ -450,13 +450,14 @@ def run_experiment(config: ExperimentConfig, executor=None) -> dict:
 
     Repeats run one after another, or on ``executor`` (a
     ``concurrent.futures`` executor) when one is given; a repeat that raises
-    is recorded as failed. Complete traces already on disk are reused as
-    they are, so the manifest's ``environment`` block names the platform
-    every listed trace was made on: this process's
-    ``environment_fingerprint()`` for traces made here, the previous
-    manifest's block for traces reused. When those differ, or a reused trace
-    has no recorded platform, the block is left out. It stays out of the
-    config hash, the trace names and the trace bytes.
+    is recorded as failed. Each trace is listed by its path relative to the
+    manifest, so a moved directory still lists its traces. Complete traces
+    already on disk are reused as they are, so the manifest's
+    ``environment`` block names the platform every listed trace was made on:
+    this process's ``environment_fingerprint()`` for traces made here, the
+    previous manifest's block for traces reused. When those differ, or a
+    reused trace has no recorded platform, the block is left out. It stays
+    out of the config hash, the trace names and the trace bytes.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = config.out_dir / f"manifest_{config.hash()}.json"
@@ -497,7 +498,7 @@ def run_experiment(config: ExperimentConfig, executor=None) -> dict:
         "repeats": {
             str(r): {
                 "status": statuses[r],
-                "trace": traces.get(r),
+                "trace": os.path.relpath(traces[r], config.out_dir) if r in traces else None,
                 "sha256": (
                     hashlib.sha256(Path(traces[r]).read_bytes()).hexdigest()
                     if r in traces

@@ -7,8 +7,10 @@ GP posterior marginal), the Thompson-path variant (h from a sample path),
 and the hard-indicator ground-truth evaluator used for scoring
 recommendations. One function, ``_log_j``, turns either source's h into
 log J and its gradient; ``estimate_pn`` and ``estimate_ptilde`` return
-(log_p, grad_log_p). All accumulation happens in log-space so that
-probabilities far below 1e-8 neither underflow nor lose their gradients.
+(log_p, grad_log_p). J = 1 wherever iota = 0, so the value-only GP estimate
+(``estimate_pn_batch``) evaluates the posterior only at the perturbed points
+with iota > 0. All accumulation happens in log-space so that probabilities
+far below 1e-8 neither underflow nor lose their gradients.
 """
 
 from __future__ import annotations
@@ -103,12 +105,10 @@ class SmoothingConfig:
 
 def _ramp(z):
     """G(z) = P(1/2, z/(1-z)) on (0,1), clamped to {0,1} outside."""
-    z = np.asarray(z, float)
-    out = np.empty_like(z)
-    out[z <= 0] = 0.0
-    out[z >= 1] = 1.0
-    mid = (z > 0) & (z < 1)
-    zm = z[mid]
+    out = np.clip(np.asarray(z, float), 0.0, 1.0)
+    out += 0.0  # clip keeps -0.0; G(-0.0) is +0.0
+    mid = (out > 0) & (out < 1)
+    zm = out[mid]
     out[mid] = gammainc(0.5, zm / (1.0 - zm))
     return out
 
@@ -207,7 +207,8 @@ def _log_j(h_at, pts, bounds, delta, want_grad):
 
     ``h_at(sel)`` gives a source's standardized values h at the points
     ``sel`` selects on the last axis: every point with ``want_grad``, else
-    those with iota > 0 (J = 1 elsewhere, whatever the source). With h come
+    those with iota > 0 (J = 1 elsewhere, whatever the source), and only
+    there does the value-only GP source form its posterior. With h come
     its gradients dh, one row per point (None without ``want_grad``), and
     the mask of points at the posterior-variance floor (None if the source
     has no floor), where Phi(h) degenerates to the indicator of h >= 0.
@@ -256,27 +257,25 @@ def _gp_log_j(state, xs, is_sample, bounds, smoothing, c, want_grad):
     """log J under the GP posterior marginal at every design in ``xs`` plus
     every perturbation, shape (m * n_u,), and d log J / d design, (m * n_u, d)."""
     pts = perturbed_grid(xs, is_sample)
-    if want_grad:
-        marginal = state.posterior_with_grad(pts)
-    else:
-        marginal = (*state.posterior(pts), None, None)
+    marginal = state.posterior_with_grad(pts) if want_grad else (None,) * 4
     return _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
 
 
 def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c):
-    """``_log_j`` of a posterior marginal already computed at ``pts``, for
-    h = (mean - c) / sigma, sigma the floored posterior sd.
+    """``_log_j`` of a posterior marginal at ``pts``, for h = (mean - c) /
+    sigma, sigma the floored posterior sd.
 
     d log J is formed when ``dmean`` is given. Without it ``mean`` and ``var``
     may carry leading axes over the point axis and are gathered at the points
-    ``_log_j`` keeps before h is formed.
+    ``_log_j`` keeps before h is formed; when they are None the posterior is
+    formed at those points alone.
     """
     floor = state.variance_floor
 
     def h_at(sel):
-        v = var[..., sel]
+        mu, v = state.posterior(pts[sel]) if mean is None else (mean[..., sel], var[..., sel])
         sigma = np.sqrt(np.maximum(v, floor))
-        h = (mean[..., sel] - c) / sigma
+        h = (mu - c) / sigma
         deg = v <= floor * (1.0 + 1e-6)
         if dmean is None:
             return h, None, deg

@@ -13,7 +13,7 @@ in original units throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -333,6 +333,7 @@ class RFFPath:
     phases: np.ndarray  # (n_features,)
     weights: np.ndarray  # (n_features,)
     update_coef: np.ndarray  # (n,), kernel-basis coefficients
+    fixed: tuple | None = None  # (us, Un, cos B, sin B), see fix_perturbations
 
     @property
     def n_features(self) -> int:
@@ -352,8 +353,8 @@ class RFFPath:
         weights = rng.standard_normal(n_features)
         coef = np.zeros(0)
         if state.n:
-            prior = cls(state, freqs, phases, weights, coef)
-            prior_at_train = prior._prior(state.Xn, np.zeros((1, d)), False)[0][:, 0]
+            prior = cls(state, freqs, phases, weights, coef).fix_perturbations(None)
+            prior_at_train = prior._prior(state.Xn, False)[0][:, 0]
             noise = rng.standard_normal(state.n) * np.sqrt(hp.noise_variance)
             resid = state._zc - prior_at_train - noise
             coef = cho_solve((state.chol, True), resid)
@@ -370,31 +371,45 @@ class RFFPath:
         the design, shape (m, n_u, d), or (m, d) when ``us`` is None."""
         return self._evaluate(xs, us, True)
 
+    def fix_perturbations(self, us) -> "RFFPath":
+        """This path with cos B and sin B of :meth:`_prior` formed once for
+        the perturbations ``us`` (the origin when None), B = Un w^T for Un the
+        normalized ``us``. Evaluations at ``us`` reuse them, elsewhere they
+        are formed afresh."""
+        tr, us = self.state.transforms, None if us is None else np.array(us, float)
+        Un = np.zeros((1, self.state.dim)) if us is None else np.atleast_2d(us) / tr.input_scale
+        B = Un @ self.frequencies.T
+        return replace(self, fixed=(us, Un, np.cos(B), np.sin(B)))
+
     def _evaluate(self, xs, us, want_grad):
+        if self.fixed is None or not np.array_equal(us, self.fixed[0]):
+            return self.fix_perturbations(us)._evaluate(xs, us, want_grad)
         st, tr = self.state, self.state.transforms
         Xn = tr.x_to_unit(np.atleast_2d(np.asarray(xs, float)))
-        plain = us is None
-        Un = np.zeros((1, st.dim)) if plain else np.atleast_2d(us) / tr.input_scale
         # float64 per design row of the largest temporary: the feature arrays,
         # or the kernel block and grid of its perturbed points.
-        width = max(2 * self.n_features, len(Un) * max(st.n, st.dim, 1))
+        width = max(2 * self.n_features, len(self.fixed[1]) * max(st.n, st.dim, 1))
         if want_grad:
-            vals, grads = in_blocks(lambda B: self._values(B, Un, True), Xn, width)
+            vals, grads = in_blocks(lambda B: self._values(B, True), Xn, width)
             grads = grads * (tr.output_std / tr.input_scale)
         else:
-            vals, grads = in_blocks(lambda B: self._values(B, Un, False)[0], Xn, width), None
+            vals, grads = in_blocks(lambda B: self._values(B, False)[0], Xn, width), None
         vals = tr.y_unstandardize(vals)
-        if plain:
+        if us is None:
             vals, grads = vals[:, 0], None if grads is None else grads[:, 0]
         return vals, grads
 
-    def _prior(self, Xn, Un, want_grad):
+    def _prior(self, Xn, want_grad):
         """The standardized prior expansion at every Xn[i] + Un[j], (m, n_u),
-        and its gradient (m, n_u, d) (None without ``want_grad``).
+        and its gradient (m, n_u, d) (None without ``want_grad``), Un the
+        fixed perturbations.
 
         By angle addition cos(w.(x + u) + phi) = cos A cos B - sin A sin B with
         A = w.x + phi and B = w.u, so the sum over features is two products
-        of (m, F) and (n_u, F) factors.
+        of (m, F) and (n_u, F) factors. cos B and sin B depend on the
+        perturbations alone and come from :meth:`fix_perturbations`: once per
+        importance sample where a search fixes it (ts_mr's stage 1), else
+        once per evaluation.
         """
         amp = np.sqrt(2.0 * self.state.hyperparams.output_scale_sq / self.n_features)
         A = Xn @ self.frequencies.T
@@ -403,8 +418,7 @@ class RFFPath:
         sin_a = np.sin(A, out=A)
         cos_a *= self.weights
         sin_a *= self.weights
-        B = Un @ self.frequencies.T
-        cos_b, sin_b = np.cos(B), np.sin(B)
+        cos_b, sin_b = self.fixed[2:]
         vals = amp * (cos_a @ cos_b.T - sin_a @ sin_b.T)
         if not want_grad:
             return vals, None
@@ -414,11 +428,12 @@ class RFFPath:
             grads[:, :, k] = (sin_a * w_k) @ cos_b.T + (cos_a * w_k) @ sin_b.T
         return vals, grads * -amp
 
-    def _values(self, Xn, Un, want_grad):
+    def _values(self, Xn, want_grad):
         st, hp = self.state, self.state.hyperparams
-        vals, grads = self._prior(Xn, Un, want_grad)
+        vals, grads = self._prior(Xn, want_grad)
         vals += hp.constant_mean
         if st.n:
+            Un = self.fixed[1]
             m, n_u, d = len(Xn), len(Un), st.dim
             Pn = (Xn[:, None, :] + Un[None, :, :]).reshape(-1, d)
             K, coef = _matern_block(Pn, st.Xn, hp, want_grad)

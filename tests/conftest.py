@@ -108,6 +108,18 @@ def branin_state(branin_problem):
 
 
 @pytest.fixture(scope="session")
+def hartmann_state():
+    """A 40-point MAP-fitted surrogate of the hartmann-6d problem."""
+    prob = get_problem("hartmann-6d")
+    Y, v = initial_design(prob, seed=1)
+    fill = prob.bounds[:, 0] + SobolStream(6, scramble_seed=2).take(40 - len(v)) * (
+        prob.bounds[:, 1] - prob.bounds[:, 0]
+    )
+    Y = np.vstack([Y, fill])
+    return fit_map(Y, np.append(v, prob.evaluate(fill)), bounds=prob.bounds, seed=3)
+
+
+@pytest.fixture(scope="session")
 def quadratic_problem():
     return get_problem("quadratic-2d")
 

@@ -395,7 +395,7 @@ def final_records(manifest):
     out = []
     for entry in manifest["repeats"].values():
         assert entry["status"] == "ok"
-        _, rows = read_trace(entry["trace"])
+        _, rows = read_trace(Path(manifest["manifest_path"]).parent / entry["trace"])
         scored = [r for r in rows if r["phase"] == "iter" and r["p_true"] is not None]
         out.append(scored[-1])
     return out
@@ -430,7 +430,7 @@ def test_criterion_08_desk_scale_optimization(desk_quadratic_runs):
 def test_criterion_11_determinism(desk_quadratic_runs, tmp_path):
     cfg, manifest, _ = desk_quadratic_runs
     fresh = run_bo(criterion8_config(tmp_path), 0)
-    cached = Path(manifest["repeats"]["0"]["trace"])
+    cached = Path(manifest["manifest_path"]).parent / manifest["repeats"]["0"]["trace"]
     assert fresh.read_bytes() == cached.read_bytes()
     report(11, "repeat 0 rerun with identical seeds is byte-identical")
 

@@ -2,6 +2,7 @@
 
 import json
 
+from relbo import cli
 from relbo.cli import main
 from relbo.harness import environment_fingerprint
 
@@ -90,3 +91,32 @@ def test_parallel_run_matches_sequential(tmp_path):
     assert [p.name for p in par_traces] == [p.name for p in seq_traces]
     for a, b in zip(seq_traces, par_traces):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_report_finds_traces_after_the_directory_moves(tmp_path, monkeypatch):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG_TEXT)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    moved = tmp_path / "elsewhere" / "runs"
+    moved.parent.mkdir()
+    (tmp_path / "runs").rename(moved)
+    (manifest_path,) = moved.glob("manifest_*.json")
+    manifest = json.loads(manifest_path.read_text())
+    traces = sorted(moved.glob("trace_*.csv"))
+    assert sorted(e["trace"] for e in manifest["repeats"].values()) == [t.name for t in traces]
+
+    read = []
+
+    def recording(paths, **kwargs):
+        read.append(sorted(paths))
+        return real(paths, **kwargs)
+
+    real = cli.aggregate_traces
+    monkeypatch.setattr(cli, "aggregate_traces", recording)
+    assert main(["report", "--in", str(moved), "--out", str(tmp_path / "rep")]) == 0
+    # A manifest written before trace paths were relative lists them absolute.
+    for entry, trace in zip(manifest["repeats"].values(), traces):
+        entry["trace"] = str(trace)
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["report", "--in", str(moved), "--out", str(tmp_path / "rep2")]) == 0
+    assert read == [traces, traces]

@@ -332,7 +332,7 @@ class TestRunExperiment:
         for r in ("0", "1"):
             entry = manifest["repeats"][r]
             assert entry["status"] == "ok"
-            data = open(entry["trace"], "rb").read()
+            data = (tmp_path / entry["trace"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
         assert (tmp_path / f"manifest_{cfg.hash()}.json").exists()
 
@@ -358,7 +358,7 @@ class TestRunExperiment:
         other = dict(env, python="0.0.0")
         Path(manifest["manifest_path"]).write_text(json.dumps({**on_disk, "environment": other}))
         assert run_experiment(cfg)["environment"] == other
-        Path(manifest["repeats"]["1"]["trace"]).unlink()
+        (tmp_path / manifest["repeats"]["1"]["trace"]).unlink()
         assert "environment" not in run_experiment(cfg)
         rerun = run_experiment(cfg)
         assert "environment" not in rerun

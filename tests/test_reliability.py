@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import erf, logsumexp
+from scipy.special import erf, gammainc, logsumexp
 
 from conftest import fd_gradient_error, log_j_at
+from relbo import numerics
+from relbo.acquisition import AcqContext, AcquisitionSpec, IterationStreams, ts_mr_next
 from relbo.numerics import SobolStream
 from relbo.problems import get_problem
 from relbo.reliability import (
@@ -23,10 +25,12 @@ from relbo.reliability import (
     evaluate_true_failure,
     _feasibility_parts,
     _gp_log_j,
+    _ramp,
     log_mean_wj,
+    perturbed_grid,
     smooth_feasibility,
 )
-from relbo.surrogate import GPHyperparams, prior_state
+from relbo.surrogate import GPHyperparams, RFFPath, SurrogateState, prior_state
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0]])
 
@@ -134,6 +138,25 @@ class TestSmoothFeasibility:
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError):
             smooth_feasibility(np.array([[0.5]]), np.array([[1.0, 1.0]]), 0.1)
+
+    def test_ramp_edges_match_masked_formula(self):
+        def masked(z):  # the ramp as three masked passes over z
+            out = np.empty_like(z)
+            out[z <= 0] = 0.0
+            out[z >= 1] = 1.0
+            mid = (z > 0) & (z < 1)
+            out[mid] = gammainc(0.5, z[mid] / (1.0 - z[mid]))
+            return out
+
+        tiny = np.nextafter(0.0, 1.0)
+        z = np.array([
+            -0.0, 0.0, 1.0, -1.0, 2.0, -np.inf, np.inf, tiny, 1e-300, 1e-17, 0.5,
+            np.nextafter(1.0, 0.0), 1.0 - 1e-12, np.nextafter(1.0, 2.0), -tiny,
+        ])
+        z = np.concatenate([z, np.random.default_rng(0).uniform(-0.5, 1.5, size=1000)])
+        want = masked(z)
+        assert _ramp(z).tobytes() == want.tobytes()  # +0.0 at z = -0.0 too
+        assert not np.signbit(_ramp(z[:2])).any()
 
 
 def flat_state(mean_value, sd=1.0, bounds=UNIT_BOX):
@@ -329,6 +352,64 @@ class TestEstimatePn:
         np.testing.assert_array_equal(log_j_at(st, X, bounds, smoothing, c), log_j)
 
 
+def recording_posterior(monkeypatch):
+    """Record the points of every ``SurrogateState.posterior`` call."""
+    calls, real = [], SurrogateState.posterior
+
+    def posterior(self, points):
+        calls.append(np.array(points))
+        return real(self, points)
+
+    monkeypatch.setattr(SurrogateState, "posterior", posterior)
+    return calls
+
+
+class TestValueOnlyScan:
+    """The value-only GP estimate evaluates the posterior only where iota > 0."""
+
+    def grid(self, prob, shift):
+        sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(prob.dim, seed=4))
+        span = prob.bounds[:, 1] - prob.bounds[:, 0]
+        xs = prob.bounds[:, 0] + shift * span + SobolStream(prob.dim, scramble_seed=5).take(8) * span
+        return xs, sample, SmoothingConfig.for_box(prob.bounds)
+
+    def test_posterior_sees_exactly_the_kept_rows(self, branin_state, branin_problem, monkeypatch):
+        prob = branin_problem
+        xs, sample, smoothing = self.grid(prob, 0.0)
+        pts = perturbed_grid(xs, sample)
+        kept = pts[smooth_feasibility(pts, prob.bounds, smoothing.delta) > 0.0]
+        assert 0 < len(kept) < len(pts)
+        calls = recording_posterior(monkeypatch)
+        estimate_pn_batch(branin_state, xs, sample, prob.bounds, smoothing, prob.c)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], kept)
+
+    def test_all_points_outside_the_box(self, branin_state, branin_problem, monkeypatch):
+        prob = branin_problem
+        xs, sample, smoothing = self.grid(prob, 50.0)
+        calls = recording_posterior(monkeypatch)
+        log_p = estimate_pn_batch(branin_state, xs, sample, prob.bounds, smoothing, prob.c)
+        assert all(len(points) == 0 for points in calls)
+        log_mean_w, _ = log_mean_wj(sample.log_weights, np.zeros(len(sample)))
+        np.testing.assert_array_equal(log_p, np.full(len(xs), log_mean_w))
+        assert abs(log_mean_w - np.log(np.mean(np.exp(sample.log_weights)))) < 1e-12
+
+    @pytest.mark.parametrize("budget", [numerics.ELEMENT_BUDGET, 2**10])
+    def test_posterior_of_kept_rows_is_a_gather(
+        self, branin_state, branin_problem, hartmann_state, monkeypatch, budget
+    ):
+        # The value-only scan's bytes rest on this: each row of the posterior
+        # does not depend on the rows evaluated with it.
+        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", budget)  # 2^10: many blocks
+        for st, prob in ((branin_state, branin_problem), (hartmann_state, get_problem("hartmann-6d"))):
+            xs, sample, smoothing = self.grid(prob, 0.0)
+            pts = perturbed_grid(xs, sample)
+            sel = smooth_feasibility(pts, prob.bounds, smoothing.delta) > 0.0
+            assert 0 < np.count_nonzero(sel) < len(pts)
+            for whole, kept in zip(st.posterior(pts), st.posterior(pts[sel]), strict=True):
+                assert whole[sel].tobytes() == kept.tobytes()
+
+
 class TestLogMeanWj:
     """The direct log-sum-exp against scipy.special.logsumexp."""
 
@@ -384,6 +465,65 @@ class TestEstimatePtilde:
     def test_batch_equals_loop(self, branin_state, branin_problem):
         path = branin_state.draw_rff_path(512, seed=2)
         assert_batch_equals_loop(path, estimate_ptilde_batch, estimate_ptilde, branin_problem)
+
+    @pytest.mark.parametrize("name", ["branin-2d", "hartmann-6d"])
+    def test_fixed_perturbations_match_per_call(self, branin_state, hartmann_state, name):
+        prob = get_problem(name)
+        state = branin_state if name == "branin-2d" else hartmann_state
+        path = state.draw_rff_path(1024, seed=3)
+        sample = draw_is_sample(prob.perturb, 3.0, 64, u_stream(prob.dim, seed=15))
+        fixed = path.fix_perturbations(sample.points)
+        smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.01)
+        args = (sample, prob.bounds, smoothing, prob.c)
+        span = prob.bounds[:, 1] - prob.bounds[:, 0]
+        xs = prob.bounds[:, 0] + SobolStream(prob.dim, scramble_seed=16).take(8) * span
+        for x in xs:
+            for got, want in zip(estimate_ptilde(fixed, x, *args), estimate_ptilde(path, x, *args)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got, want = estimate_ptilde_batch(fixed, xs, *args), estimate_ptilde_batch(path, xs, *args)
+        assert got.tobytes() == want.tobytes()
+
+    def test_second_sample_gets_its_own_factors(self, branin_state, branin_problem):
+        prob = branin_problem
+        path = branin_state.draw_rff_path(512, seed=5)
+        first = draw_is_sample(prob.perturb, 3.0, 64, u_stream(2, seed=17))
+        second = draw_is_sample(prob.perturb, 3.0, 64, u_stream(2, seed=18))
+        smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.5)
+        x = np.array([2.5, 7.5])
+
+        def est(model, sample):
+            return estimate_ptilde(model, x, sample, prob.bounds, smoothing, prob.c)
+
+        fixed = path.fix_perturbations(first.points)
+        assert est(fixed, first)[0] != est(path, second)[0]
+        for model in (fixed, path.fix_perturbations(second.points)):
+            log_p, grad = est(model, second)
+            want_log_p, want_grad = est(path, second)
+            assert log_p == want_log_p and grad.tobytes() == want_grad.tobytes()
+        # The factors belong to the perturbations' values at fixing time.
+        moved = first.points.copy()
+        fixed = path.fix_perturbations(moved)
+        moved += 0.25
+        shifted = ISSample(moved, first.log_weights)
+        assert est(fixed, shifted)[0] == est(path, shifted)[0]
+
+    def test_ts_mr_fixes_one_sample_per_search(self, branin_state, branin_problem, monkeypatch):
+        fixed, real = [], RFFPath.fix_perturbations
+
+        def recording(self, us):
+            if us is not None:
+                fixed.append(np.array(us))
+            return real(self, us)
+
+        monkeypatch.setattr(RFFPath, "fix_perturbations", recording)
+        spec = AcquisitionSpec("ts_mr", n_u=64, n_raw=64, n_restarts=2)
+        st = branin_state
+        ctx = AcqContext(
+            st, branin_problem, spec, IterationStreams.from_seed(3, 2), st.train_inputs,
+            st.train_targets,
+        )
+        ts_mr_next(ctx)
+        assert len(fixed) == 1 and fixed[0].shape == (64, 2)
 
     def test_gradient_matches_fd(self, branin_state, branin_problem):
         prob = branin_problem
