@@ -37,7 +37,7 @@ from .reliability import (
     log_mean_wj,
     perturbed_grid,
 )
-from .surrogate import SurrogateState, matern52
+from .surrogate import SurrogateState
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +70,10 @@ class AcquisitionSpec:
             raise ValueError("sample sizes must be positive")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
+        if not (self.rho > 0 and self.kappa > 0):
+            raise ValueError("rho and kappa must be positive")
+        if any(v is not None and not v >= 0 for v in (self.eps_s, self.delta_band)):
+            raise ValueError("eps_s and delta_band must be non-negative")
 
     def raw_count(self, dim: int) -> int:
         if self.n_raw is not None:
@@ -309,42 +313,22 @@ def _fantasy_marginal(state, z, mean, var, kty, vy, grads=None):
     return fmean, fvar, dfmean, dfvar
 
 
-def _cross_cov(state, pts_n, kt, y):
-    """Posterior covariance k_n(t_i, y) at normalized points ``pts_n``, given
-    their kernel block ``kt`` against the training inputs; no gradients."""
-    tr, hp = state.transforms, state.hyperparams
-    yn = tr.x_to_unit(np.asarray(y, float)).reshape(1, -1)
-    kty = matern52(pts_n, yn, hp)[:, 0]
-    if state.n:
-        kty = kty - kt @ state.kinv(matern52(state.Xn, yn, hp)[:, 0])
-    return kty * tr.output_std**2
-
-
-def _fantasy_log_p(state, y, z, xs, is_sample, bounds, smoothing, c, want_grad=True):
+def _fantasy_log_p(state, y, z, xs, is_sample, bounds, smoothing, c):
     """Per-fantasy log failure probability at designs ``xs`` (one per draw in
     ``z``) after conditioning on the fantasy observation at ``y``.
 
-    Returns (log_p (Nv,), grad_x (Nv, d), grad_y (Nv, d)), the gradients
-    None without ``want_grad``.
+    Returns (log_p (Nv,), grad_x (Nv, d), grad_y (Nv, d)).
     """
     y = np.asarray(y, float)
     n_v, n_u = len(z), len(is_sample)
     pts = perturbed_grid(xs, is_sample)
     d = pts.shape[1]
-    if want_grad:
-        mean, var, dmean, dvar, kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
-        _, vy, _, dvy = state.posterior_with_grad(y[None, :])
-        grads = (dmean, dvar, dk_dt, dk_dy, dvy[0])
-    else:
-        mean, var = state.posterior(pts)
-        pts_n = state.transforms.x_to_unit(pts)
-        kty = _cross_cov(state, pts_n, matern52(pts_n, state.Xn, state.hyperparams), y)
-        _, vy = state.posterior(y[None, :])
-        grads = None
-    marginal = _fantasy_marginal(state, np.repeat(z, n_u), mean, var, kty, vy[0], grads)
+    mean, var, dmean, dvar, kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
+    _, vy, _, dvy = state.posterior_with_grad(y[None, :])
+    marginal = _fantasy_marginal(
+        state, np.repeat(z, n_u), mean, var, kty, vy[0], (dmean, dvar, dk_dt, dk_dy, dvy[0])
+    )
     log_j, dlog_j = _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
-    if not want_grad:
-        return log_mean_wj(is_sample.log_weights, log_j.reshape(n_v, n_u))[0], None, None
     log_p, grad = log_mean_wj(
         is_sample.log_weights, log_j.reshape(n_v, n_u), dlog_j.reshape(n_v, n_u, 2 * d)
     )
@@ -372,9 +356,7 @@ class _FantasyScan:
         self.x_disc = np.atleast_2d(np.asarray(x_disc, float))
         self.pts = pts = perturbed_grid(self.x_disc, is_sample)
         self.mean, self.var = state.posterior(pts)
-        # The train-against-grid kernel block behind k_n(t, y) is fixed.
-        self._pts_n = state.transforms.x_to_unit(pts)
-        self._kt = matern52(self._pts_n, state.Xn, state.hyperparams)
+        self._cross_cov = state.cross_cov_at(pts)
         self.baseline = float(np.max(self.grid_values(self.hard)))
 
     def _grid_log_p(self, mean, var, smoothing):
@@ -397,7 +379,7 @@ class _FantasyScan:
         shape (Nv, Nx)."""
         y = np.asarray(y, float)
         _, vy = self.state.posterior(y[None, :])
-        kty = _cross_cov(self.state, self._pts_n, self._kt, y)
+        kty = self._cross_cov(y)
         fmean, fvar, _, _ = _fantasy_marginal(
             self.state, self.z[:, None], self.mean, self.var, kty, vy[0]
         )
@@ -521,7 +503,7 @@ def kg_oneshot_next(ctx: AcqContext):
     keep = np.tile(scan.x_disc[np.argmax(values)], (spec.n_v, 1))
     log_p, _, _ = _fantasy_log_p(
         state, y_next, np.tile(scan.z, 2), np.vstack([xs, keep]), scan.is_sample, bounds,
-        smoothing, problem.c, want_grad=False,
+        smoothing, problem.c,
     )
     per_fantasy = _value_from_log_p(log_p.reshape(2, spec.n_v), spec.use_log)
     gain = float(np.mean(np.max(per_fantasy, axis=0)) - np.max(values))

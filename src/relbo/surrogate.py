@@ -14,6 +14,7 @@ in original units throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -180,13 +181,12 @@ class SurrogateState:
             self.chol = self.chol_inv = np.zeros((0, 0))
             self.alpha = np.zeros(0)
         self._zc = zc
-        # The (n, n + 2) right-hand side every posterior block is multiplied
-        # by: [alpha | L^-T | 0]. One product with the (m, n) kernel block
-        # gives the mean and L^-1 k; the spare column takes the K^-1 k_y of
-        # ``cross_cov_with_grad``. One wide product in place of several narrow
-        # ones also spares a small batch the start-up of a multithreaded BLAS
-        # call per product.
-        self._rhs = np.hstack([self.alpha[:, None], self.chol_inv.T, np.zeros((self.n, 1))])
+        # The (n, n + 1) right-hand side every posterior block is multiplied
+        # by: [alpha | L^-T]. One product with the (m, n) kernel block gives
+        # the mean and L^-1 k. One wide product in place of two narrow ones
+        # also spares a small batch the start-up of a multithreaded BLAS call
+        # per product.
+        self._rhs = np.hstack([self.alpha[:, None], self.chol_inv.T])
 
     def kinv(self, b):
         """K^-1 b = L^-T (L^-1 b) by the cached L^-1, for b of shape (n,) or
@@ -228,30 +228,20 @@ class SurrogateState:
         parts = in_blocks(lambda B: self._marginal(B, True)[:4], Pn, self._rhs.shape[1])
         return self._grad_units(*parts)
 
-    def _marginal(self, Pn, want_grad=False, w=None):
+    def _marginal(self, Pn, want_grad=False):
         """Standardized marginal (mean, var) at normalized points. With
         ``want_grad`` it is followed by (dmean, dvar) and by the (m, n)
-        kernel gradient coefficient, K^-1 k = L^-T (L^-1 k) and k^T w (``w``
-        of shape (n,), zero when None) they come from (None without training
-        data).
+        kernel gradient coefficient, K^-1 k = L^-T (L^-1 k) and kernel block
+        k they come from, each (m, 0) without training data.
 
-        Every mode takes the same product of the kernel block with the cached
+        Both modes take the same product of the kernel block with the cached
         right-hand side, so the mean and var = s^2 - |L^-1 k|^2 do not depend
-        on it; each gradient is one ``_contract``.
+        on the mode; each gradient is one ``_contract``.
         """
-        hp, m, n = self.hyperparams, len(Pn), self.n
-        if n == 0:
-            mean, var = np.full(m, hp.constant_mean), np.full(m, hp.output_scale_sq)
-            if not want_grad:
-                return mean, var
-            return mean, var, np.zeros((m, self.dim)), np.zeros((m, self.dim)), None, None, None
+        hp = self.hyperparams
         Kt, coef = _matern_block(Pn, self.Xn, hp, want_grad)  # (m, n)
-        rhs = self._rhs
-        if w is not None:
-            rhs = rhs.copy()
-            rhs[:, -1] = w
-        KR = _scipy_matmul(Kt, rhs)
-        V = KR[:, 1 : n + 1]  # rows (L^-1 k)^T
+        KR = _scipy_matmul(Kt, self._rhs)
+        V = KR[:, 1:]  # rows (L^-1 k)^T
         var_std = hp.output_scale_sq - np.einsum("mn,mn->m", V, V)
         clamped = var_std <= NUGGET
         mean_std, var_std = hp.constant_mean + KR[:, 0], np.maximum(var_std, NUGGET)
@@ -262,7 +252,7 @@ class SurrogateState:
         dmean_std = _contract(coef, self.alpha, Pn, self.Xn, ls2)
         dvar_std = -2.0 * _contract(coef * Kinv_Kt, None, Pn, self.Xn, ls2)
         dvar_std[clamped] = 0.0
-        return mean_std, var_std, dmean_std, dvar_std, coef, Kinv_Kt, KR[:, -1]
+        return mean_std, var_std, dmean_std, dvar_std, coef, Kinv_Kt, Kt
 
     def _grad_units(self, mean_std, var_std, dmean_std, dvar_std):
         """A standardized marginal and its gradients in original units."""
@@ -275,43 +265,55 @@ class SurrogateState:
             dvar_std * scale * tr.output_std**2,
         )
 
+    def cross_cov_at(self, points):
+        """The posterior covariance k_n(t_i, y) at the fixed ``points`` t as a
+        function of the site y, original units. Their kernel block against
+        the training inputs is formed here once, so each site costs one
+        matrix-vector product (the candidate scan of the knowledge
+        gradient)."""
+        Pn = self.transforms.x_to_unit(np.atleast_2d(np.asarray(points, float)))
+        return partial(self._cross_cov, Pn, matern52(Pn, self.Xn, self.hyperparams))
+
     def cross_cov_with_grad(self, points, y):
         """The marginal posterior at a batch of t with its gradients, and the
         posterior covariance k_n(t_i, y) against a single y with its gradients
         w.r.t. t_i and w.r.t. y, from one kernel pass over the batch. Original
-        units.
+        units; k_n is that of :meth:`cross_cov_at`, byte for byte.
 
         Returns (mean, var, dmean, dvar, kny, dkny_dt, dkny_dy), the first
         four as from :meth:`posterior_with_grad`, the gradients of shape (m, d).
         """
-        hp, tr = self.hyperparams, self.transforms
-        Pn = tr.x_to_unit(np.atleast_2d(np.asarray(points, float)))
-        yn = tr.x_to_unit(np.asarray(y, float).reshape(1, -1))
-        ls2 = hp.lengthscales**2
-        w_y = None
-        if self.n:
-            k_y, coef_y = _matern_block(yn, self.Xn, hp, True)  # (1, n)
-            w_y = self.kinv(k_y[0])
+        Pn = self.transforms.x_to_unit(np.atleast_2d(np.asarray(points, float)))
 
         def block(Bn):
-            mean_std, var_std, dmean_std, dvar_std, coef, Kinv_Kt, k_w = self._marginal(
-                Bn, True, w_y
-            )
-            kty, coef_ty = _matern_block(Bn, yn, hp, True)  # (m, 1)
-            kty, dk_dt = kty[:, 0], coef_ty * (Bn - yn) / ls2
-            dk_dy = -dk_dt
-            if self.n:
-                kty = kty - k_w
-                dk_dt = dk_dt - _contract(coef, w_y, Bn, self.Xn, ls2)
-                dk_dy = dk_dy - _contract(Kinv_Kt, coef_y[0], yn, self.Xn, ls2)
-            return mean_std, var_std, dmean_std, dvar_std, kty, dk_dt, dk_dy
+            *marginal, coef, Kinv_Kt, Kt = self._marginal(Bn, True)
+            return (*marginal, *self._cross_cov(Bn, Kt, y, (coef, Kinv_Kt)))
 
         *marginal, kty, dk_dt, dk_dy = in_blocks(block, Pn, self._rhs.shape[1])
-        scale = 1.0 / tr.input_scale
+        return (*self._grad_units(*marginal), kty, dk_dt, dk_dy)
+
+    def _cross_cov(self, Pn, Kt, y, grads=None):
+        """k_n(t_i, y) = k(t, y) - K_t K^-1 k(X, y) at normalized points
+        ``Pn``, original units, from their (m, n) kernel block ``Kt`` against
+        the training inputs: the one place k_n is formed. ``grads`` holds the
+        block's gradient coefficient and K^-1 k rows from ``_marginal``; with
+        it the gradients w.r.t. t and w.r.t. y follow, each (m, d)."""
+        hp, tr = self.hyperparams, self.transforms
+        yn = tr.x_to_unit(np.asarray(y, float)).reshape(1, -1)
+        kty, coef_ty = _matern_block(Pn, yn, hp, grads is not None)  # (m, 1)
+        k_y, coef_y = _matern_block(self.Xn, yn, hp, grads is not None)  # (n, 1)
+        w_y = self.kinv(k_y[:, 0])
+        kty = kty[:, 0] - Kt @ w_y
         s2 = tr.output_std**2
-        return (
-            *self._grad_units(*marginal), kty * s2, dk_dt * scale * s2, dk_dy * scale * s2
-        )
+        if grads is None:
+            return kty * s2
+        coef, Kinv_Kt = grads
+        ls2 = hp.lengthscales**2
+        dk_dt = coef_ty * (Pn - yn) / ls2
+        dk_dy = -dk_dt - _contract(Kinv_Kt, coef_y[:, 0], yn, self.Xn, ls2)
+        dk_dt = dk_dt - _contract(coef, w_y, Pn, self.Xn, ls2)
+        scale = 1.0 / tr.input_scale
+        return kty * s2, dk_dt * scale * s2, dk_dy * scale * s2
 
     def draw_rff_path(self, n_features: int = 1024, seed=0) -> "RFFPath":
         """A deterministic approximate posterior sample path via decoupled

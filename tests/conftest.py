@@ -14,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relbo.acquisition import _cross_cov, _fantasy_marginal
+from relbo.acquisition import _fantasy_marginal
 from relbo.harness import initial_design
 from relbo.numerics import SobolStream
 from relbo.problems import get_problem
 from relbo.reliability import ISSample, estimate_pn_batch
-from relbo.surrogate import GPHyperparams, SurrogateState, Transforms, fit_map, matern52
+from relbo.surrogate import GPHyperparams, SurrogateState, Transforms, fit_map
 
 FD_STEP_SCALES = (1e-4, 1e-5, 1e-6, 1e-7)
 
@@ -53,9 +53,9 @@ def fantasy_marginal(state, pts, y, z, want_grad):
     """The posterior (mean, var) at ``pts`` after the fantasy observation
     mu_n(y) + z sqrt(v_n(y)) at ``y``, by ``acquisition._fantasy_marginal``
     fed the way the strategies feed it: from ``cross_cov_with_grad`` and
-    ``posterior_with_grad`` with ``want_grad`` (the one-shot objective and the
-    envelope gradient), else from ``posterior`` and ``_cross_cov`` (the
-    candidate scan and the final scoring)."""
+    ``posterior_with_grad`` with ``want_grad`` (the one-shot objective, its
+    final scoring and the envelope gradient), else from ``posterior`` and
+    ``cross_cov_at`` (the candidate scan)."""
     y = np.asarray(y, float)
     z = np.full(len(pts), float(z))
     if want_grad:
@@ -64,8 +64,7 @@ def fantasy_marginal(state, pts, y, z, want_grad):
         grads = (dmean, dvar, dk_dt, dk_dy, dvy[0])
     else:
         mean, var = state.posterior(pts)
-        pts_n = state.transforms.x_to_unit(pts)
-        kty = _cross_cov(state, pts_n, matern52(pts_n, state.Xn, state.hyperparams), y)
+        kty = state.cross_cov_at(pts)(y)
         _, vy = state.posterior(y[None, :])
         grads = None
     return _fantasy_marginal(state, z, mean, var, kty, vy[0], grads)[:2]

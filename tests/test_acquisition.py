@@ -107,6 +107,18 @@ class TestSpecAndStreams:
         with pytest.raises(ValueError):
             AcquisitionSpec("ei", tau=0.5)
 
+    @pytest.mark.parametrize(
+        "key, value", [("rho", 0.0), ("rho", -0.01), ("rho", np.nan), ("kappa", 0.0),
+                       ("kappa", -2.0), ("eps_s", -1e-3), ("delta_band", -0.1)],
+    )
+    def test_bad_smoothing_and_cascade_knobs_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            AcquisitionSpec("hc", **{key: value})
+
+    def test_zero_cascade_knobs_accepted(self):
+        spec = AcquisitionSpec("hc", eps_s=0.0, delta_band=0.0)
+        assert (spec.eps_s, spec.delta_band) == (0.0, 0.0)
+
     def test_streams_deterministic(self):
         a = IterationStreams.from_seed(5, 3)
         b = IterationStreams.from_seed(5, 3)
@@ -169,6 +181,29 @@ class TestDiscreteKG:
             )
             assert abs(fast - slow) < 1e-8 * max(1.0, abs(slow))
 
+    @pytest.mark.parametrize("name, n", [("branin-2d", 30), ("hartmann-6d", 40)])
+    def test_scan_equals_fantasy_log_p_bytewise(self, name, n):
+        # The scan and the one-shot/envelope route form k_n(t, y) alike, so at
+        # the scan's per-fantasy best designs they give the same log P, byte
+        # for byte, at the kg-branin benchmark's sample sizes.
+        prob, state = fitted(name, n)
+        bounds, span = prob.bounds, prob.bounds[:, 1] - prob.bounds[:, 0]
+        spec = small_spec("kg_mr_discrete", n_u=64, n_v=32, n_x=512)
+        streams = IterationStreams.from_seed(11, prob.dim)
+        is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+        z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+        x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
+        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec)
+        sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(16) * span
+        for smoothing in (scan.hard, SmoothingConfig.for_box(bounds, rho=spec.rho)):
+            for y in sites:
+                grid = scan.log_p_at(y, smoothing)
+                argbest = np.argmin(grid, axis=1)
+                log_p, _, _ = _fantasy_log_p(
+                    state, y, z, x_disc[argbest], is_sample, bounds, smoothing, prob.c
+                )
+                np.testing.assert_array_equal(log_p, grid[np.arange(len(z)), argbest])
+
     def test_no_gain_at_training_point(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
         scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec)
@@ -200,8 +235,7 @@ class TestDiscreteKG:
 
             def averaged(site):
                 log_p, _, _ = _fantasy_log_p(
-                    state, site, z_sample, xs, is_sample, prob.bounds, scan.hard, prob.c,
-                    want_grad=False,
+                    state, site, z_sample, xs, is_sample, prob.bounds, scan.hard, prob.c
                 )
                 return float(np.mean(_value_from_log_p(log_p, spec.use_log)))
 

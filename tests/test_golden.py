@@ -6,7 +6,8 @@ Traces and hot-path outputs are byte-identical across reruns on one platform
 only, so the digests live in ``tests/golden/<key>.json``, the key being the
 first 16 hex digits of the sha256 of ``environment_fingerprint()`` as sorted
 JSON. The tests compare against this platform's entry and skip when there is
-none. An entry is written only by running this file::
+none. An entry is written only by running this file, which prints each
+digest that differs from the entry it overwrites::
 
     PYTHONPATH=src python tests/test_golden.py --refresh
 """
@@ -134,6 +135,31 @@ def hot_path_digests() -> dict[str, str]:
     }
 
 
+def moved_digests(old: dict, new: dict) -> list[str]:
+    """One line per digest of the entry ``new`` that differs from the entry
+    ``old`` it overwrites: its group, key and both 12-digit prefixes, '-'
+    where a key is absent."""
+    lines = []
+    for group in ("traces", "hot_path"):
+        before, after = old.get(group, {}), new[group]
+        for key in sorted(before.keys() | after.keys()):
+            a, b = before.get(key, "-"), after.get(key, "-")
+            if a != b:
+                lines.append(f"{group} {key}: {a[:12]} -> {b[:12]}")
+    return lines
+
+
+def test_refresh_reports_moved_digests():
+    old = {"traces": {"ei": "a" * 64, "hc": "b" * 64}, "hot_path": {"p/gone": "c" * 64}}
+    new = {"traces": {"ei": "a" * 64, "hc": "d" * 64}, "hot_path": {"p/new": "e" * 64}}
+    assert moved_digests(old, new) == [
+        "traces hc: bbbbbbbbbbbb -> dddddddddddd",
+        "hot_path p/gone: cccccccccccc -> -",
+        "hot_path p/new: - -> eeeeeeeeeeee",
+    ]
+    assert moved_digests(new, new) == []
+
+
 def test_trace_digests_match_golden():
     assert trace_digests() == golden_entry()["traces"]
 
@@ -152,5 +178,8 @@ if __name__ == "__main__":
         "traces": trace_digests(),
         "hot_path": hot_path_digests(),
     }
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for line in moved_digests(old, entry):
+        print(line)
     path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")

@@ -174,6 +174,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(config_with(tmp_path, section, key, 0))
 
+    @pytest.mark.parametrize(
+        "key, value", [("rho", 0), ("kappa", -1), ("eps_s", -0.5), ("delta_band", -0.1)]
+    )
+    def test_bad_smoothing_and_cascade_knobs_rejected(self, tmp_path, key, value):
+        # rho = 0 would otherwise load, write the initial design and only fail
+        # inside SmoothingConfig at the first acquisition.
+        with pytest.raises(ValueError, match=key):
+            load_config(config_with(tmp_path, "acquisition", key, value))
+
 
 class TestSeeds:
     def test_child_seed_deterministic_and_distinct(self):
