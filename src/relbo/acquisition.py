@@ -30,11 +30,10 @@ from .optimizers import boltzmann_restarts, direct_maximize, multistart_qn
 from .problems import Problem
 from .reliability import (
     SmoothingConfig,
-    _gp_marginal_log_j,
     draw_is_sample,
     estimate_ptilde,
     estimate_ptilde_batch,
-    log_mean_wj,
+    gp_log_p,
     perturbed_grid,
 )
 from .surrogate import SurrogateState
@@ -320,18 +319,15 @@ def _fantasy_log_p(state, y, z, xs, is_sample, bounds, smoothing, c):
     Returns (log_p (Nv,), grad_x (Nv, d), grad_y (Nv, d)).
     """
     y = np.asarray(y, float)
-    n_v, n_u = len(z), len(is_sample)
     pts = perturbed_grid(xs, is_sample)
     d = pts.shape[1]
     mean, var, dmean, dvar, kty, dk_dt, dk_dy = state.cross_cov_with_grad(pts, y)
     _, vy, _, dvy = state.posterior_with_grad(y[None, :])
     marginal = _fantasy_marginal(
-        state, np.repeat(z, n_u), mean, var, kty, vy[0], (dmean, dvar, dk_dt, dk_dy, dvy[0])
+        state, np.repeat(z, len(is_sample)), mean, var, kty, vy[0],
+        (dmean, dvar, dk_dt, dk_dy, dvy[0]),
     )
-    log_j, dlog_j = _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
-    log_p, grad = log_mean_wj(
-        is_sample.log_weights, log_j.reshape(n_v, n_u), dlog_j.reshape(n_v, n_u, 2 * d)
-    )
+    log_p, grad = gp_log_p(state, *marginal, pts, is_sample, bounds, smoothing, c)
     return log_p, grad[:, :d], grad[:, d:]
 
 
@@ -359,19 +355,13 @@ class _FantasyScan:
         self._cross_cov = state.cross_cov_at(pts)
         self.baseline = float(np.max(self.grid_values(self.hard)))
 
-    def _grid_log_p(self, mean, var, smoothing):
-        """log P at every grid design from a marginal over the perturbed grid
-        (leading axes, one per fantasy say, kept), shape (..., Nx)."""
-        log_j, _ = _gp_marginal_log_j(
-            self.state, mean, var, None, None, self.pts, self.bounds, smoothing, self.c
-        )
-        shape = (*log_j.shape[:-1], len(self.x_disc), -1)
-        return log_mean_wj(self.is_sample.log_weights, log_j.reshape(shape))[0]
-
     def grid_values(self, smoothing):
         """The current value of every grid design under ``smoothing``; their
         maximum is the term the knowledge gradient subtracts."""
-        log_p = self._grid_log_p(self.mean, self.var, smoothing)
+        log_p, _ = gp_log_p(
+            self.state, self.mean, self.var, None, None, self.pts, self.is_sample,
+            self.bounds, smoothing, self.c,
+        )
         return _value_from_log_p(log_p, self.spec.use_log)
 
     def log_p_at(self, y, smoothing):
@@ -383,7 +373,10 @@ class _FantasyScan:
         fmean, fvar, _, _ = _fantasy_marginal(
             self.state, self.z[:, None], self.mean, self.var, kty, vy[0]
         )
-        return self._grid_log_p(fmean, fvar, smoothing)
+        return gp_log_p(
+            self.state, fmean, fvar, None, None, self.pts, self.is_sample, self.bounds,
+            smoothing, self.c,
+        )[0]
 
     def value_at(self, y):
         """Discrete knowledge gradient at one candidate ``y``, and the

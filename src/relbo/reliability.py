@@ -1,13 +1,13 @@
 """Failure-probability estimators.
 
 Everything funnels through the same smoothed, importance-weighted qMC sum,
-the mean of w * J over the perturbations, J = Phi(h) * iota + (1 - iota):
+log P = log mean(w * J) over the perturbations, J = Phi(h) * iota + (1 - iota):
 the surrogate-based estimate of the expected failure probability (h from the
 GP posterior marginal), the Thompson-path variant (h from a sample path),
 and the hard-indicator ground-truth evaluator used for scoring
-recommendations. One function, ``_log_j``, turns either source's h into
-log J and its gradient; ``estimate_pn`` and ``estimate_ptilde`` return
-(log_p, grad_log_p). J = 1 wherever iota = 0, so the value-only GP estimate
+recommendations. One function, ``_log_p``, turns either source's h into log
+P and its gradient, behind a GP entry (``gp_log_p``) and a path entry
+(``_path_log_p``). J = 1 wherever iota = 0, so the value-only GP estimate
 (``estimate_pn_batch``) evaluates the posterior only at the perturbed points
 with iota > 0. All accumulation happens in log-space so that probabilities
 far below 1e-8 neither underflow nor lose their gradients.
@@ -200,10 +200,12 @@ def _logsumexp(terms):
     return np.log1p(s / m) + np.log(m) + top[..., 0]
 
 
-def _log_j(h_at, pts, bounds, delta, want_grad):
-    """log J for J = Phi(h) * iota + (1 - iota) at the points ``pts``, iota
-    their smoothed box indicator, and d log J, with the ratios of d log J to
-    dh and to d iota computed stably in the deep tail.
+def _log_p(h_at, pts, is_sample, bounds, delta, want_grad):
+    """log P = log mean(w * J) over the perturbations of each design, for J =
+    Phi(h) * iota + (1 - iota) at the perturbed grid ``pts`` (design-major,
+    as from :func:`perturbed_grid`) and iota its smoothed box indicator, and
+    the gradient of log P. The ratios of d log J to dh and to d iota are
+    computed stably in the deep tail.
 
     ``h_at(sel)`` gives a source's standardized values h at the points
     ``sel`` selects on the last axis: every point with ``want_grad``, else
@@ -213,12 +215,13 @@ def _log_j(h_at, pts, bounds, delta, want_grad):
     the mask of points at the posterior-variance floor (None if the source
     has no floor), where Phi(h) degenerates to the indicator of h >= 0.
     Without gradients h may carry leading axes over the point axis (one row
-    per fantasy, say). The columns of dh may run past the d coordinates of a
-    point (derivatives w.r.t. a fantasy site, say); iota enters only the
-    first d.
+    per fantasy, say), and log P keeps them. The k columns of dh may run
+    past the d coordinates of a point (derivatives w.r.t. a fantasy site,
+    say); iota enters only the first d.
 
-    Returns (log_j, dlog_j or None).
+    Returns (log_p (..., m), grad (m, k) or None).
     """
+    n_u = len(is_sample)
     iota, diota = _feasibility_parts(pts, bounds, delta, want_grad)
     sel = slice(None) if want_grad else iota > 0.0
     h, dh, deg = h_at(sel)
@@ -235,7 +238,10 @@ def _log_j(h_at, pts, bounds, delta, want_grad):
     if not want_grad:
         out = np.zeros((*h.shape[:-1], len(sel)))
         out[..., sel] = log_j
-        return out, None
+        # Free what the reduction does not read before it allocates as much.
+        del h, deg, log_phi, log_j, iota, sel
+        log_iota = log_ciota = None
+        return log_mean_wj(is_sample.log_weights, out.reshape(*out.shape[:-1], -1, n_u))[0], None
     pdf_log = std_normal_log_pdf(h)
     with np.errstate(invalid="ignore"):
         ratio_h = np.where(
@@ -250,25 +256,20 @@ def _log_j(h_at, pts, bounds, delta, want_grad):
     ratio_iota = np.where(iota < 1.0, (np.exp(log_phi) - 1.0) / j_safe, 0.0)
     dlog_j = ratio_h[:, None] * dh
     dlog_j[:, : diota.shape[1]] += ratio_iota[:, None] * diota
-    return log_j, dlog_j
+    return log_mean_wj(
+        is_sample.log_weights, log_j.reshape(-1, n_u), dlog_j.reshape(-1, n_u, dh.shape[1])
+    )
 
 
-def _gp_log_j(state, xs, is_sample, bounds, smoothing, c, want_grad):
-    """log J under the GP posterior marginal at every design in ``xs`` plus
-    every perturbation, shape (m * n_u,), and d log J / d design, (m * n_u, d)."""
-    pts = perturbed_grid(xs, is_sample)
-    marginal = state.posterior_with_grad(pts) if want_grad else (None,) * 4
-    return _gp_marginal_log_j(state, *marginal, pts, bounds, smoothing, c)
+def gp_log_p(state, mean, var, dmean, dvar, pts, is_sample, bounds, smoothing, c):
+    """log P under a GP posterior marginal at the perturbed grid ``pts``, for
+    h = (mean - c) / sigma, sigma the floored posterior sd, and its gradient
+    as from :func:`_log_p`.
 
-
-def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c):
-    """``_log_j`` of a posterior marginal at ``pts``, for h = (mean - c) /
-    sigma, sigma the floored posterior sd.
-
-    d log J is formed when ``dmean`` is given. Without it ``mean`` and ``var``
-    may carry leading axes over the point axis and are gathered at the points
-    ``_log_j`` keeps before h is formed; when they are None the posterior is
-    formed at those points alone.
+    The gradient is formed when ``dmean`` is given. Without it ``mean`` and
+    ``var`` may carry leading axes over the point axis and are gathered at
+    the points ``_log_p`` keeps before h is formed; when they are None the
+    posterior is formed at those points alone.
     """
     floor = state.variance_floor
 
@@ -284,13 +285,12 @@ def _gp_marginal_log_j(state, mean, var, dmean, dvar, pts, bounds, smoothing, c)
             dh = np.nan_to_num((dmean - h[:, None] * dsigma) / sigma[:, None], nan=0.0)
         return h, dh, deg
 
-    return _log_j(h_at, pts, bounds, smoothing.delta, dmean is not None)
+    return _log_p(h_at, pts, is_sample, bounds, smoothing.delta, dmean is not None)
 
 
-def _rff_log_j(path, xs, is_sample, bounds, smoothing, c, want_grad):
-    """log J for a sample path at every design in ``xs`` plus every
-    perturbation, for h = (path - c) / rho, shape (m * n_u,), and d log J /
-    d design, (m * n_u, d)."""
+def _path_log_p(path, xs, is_sample, bounds, smoothing, c, want_grad):
+    """log P for a sample path at each design in ``xs``, for h = (path - c) /
+    rho, shape (m,), and its gradient w.r.t. the design, (m, d)."""
     xs = np.atleast_2d(np.asarray(xs, float))
     if want_grad:
         vals, dvals = path.evaluate_with_grad(xs, is_sample.points)
@@ -302,7 +302,8 @@ def _rff_log_j(path, xs, is_sample, bounds, smoothing, c, want_grad):
     def h_at(sel):
         return (vals[sel] - c) / smoothing.rho, dh, None
 
-    return _log_j(h_at, perturbed_grid(xs, is_sample), bounds, smoothing.delta, want_grad)
+    pts = perturbed_grid(xs, is_sample)
+    return _log_p(h_at, pts, is_sample, bounds, smoothing.delta, want_grad)
 
 
 def perturbed_grid(xs, is_sample):
@@ -312,18 +313,6 @@ def perturbed_grid(xs, is_sample):
 
 
 # -- the smoothed, importance-weighted estimators --------------------------
-
-
-def _estimate(log_j_fn, model, x, is_sample, bounds, smoothing, c):
-    xs = np.asarray(x, float).reshape(1, -1)
-    log_j, dlog_j = log_j_fn(model, xs, is_sample, bounds, smoothing, c, True)
-    log_p, grad = log_mean_wj(is_sample.log_weights, log_j, dlog_j)
-    return (float(log_p) if np.isfinite(log_p) else -np.inf), grad
-
-
-def _estimate_batch(log_j_fn, model, xs, is_sample, bounds, smoothing, c):
-    log_j, _ = log_j_fn(model, xs, is_sample, bounds, smoothing, c, False)
-    return log_mean_wj(is_sample.log_weights, log_j.reshape(-1, len(is_sample)))[0]
 
 
 def estimate_pn(
@@ -338,7 +327,10 @@ def estimate_pn(
     probability at nominal design ``x`` (-inf when every term underflows),
     and its exact gradient: (log_p, grad_log_p).
     """
-    return _estimate(_gp_log_j, state, x, is_sample, bounds, smoothing, c)
+    pts = perturbed_grid(np.reshape(x, (1, -1)), is_sample)
+    marginal = state.posterior_with_grad(pts)
+    log_p, grad = gp_log_p(state, *marginal, pts, is_sample, bounds, smoothing, c)
+    return float(log_p[0]), grad[0]
 
 
 def estimate_ptilde(
@@ -351,7 +343,9 @@ def estimate_ptilde(
 ) -> tuple[float, np.ndarray]:
     """(log_p, grad_log_p) of the failure probability of a posterior sample
     path, with the threshold indicator smoothed by Phi((path - c) / rho)."""
-    return _estimate(_rff_log_j, path, x, is_sample, bounds, smoothing, c)
+    xs = np.reshape(x, (1, -1))
+    log_p, grad = _path_log_p(path, xs, is_sample, bounds, smoothing, c, True)
+    return float(log_p[0]), grad[0]
 
 
 def estimate_pn_batch(
@@ -366,12 +360,13 @@ def estimate_pn_batch(
 
     Vectorized across candidates; equal to looping :func:`estimate_pn`.
     """
-    return _estimate_batch(_gp_log_j, state, xs, is_sample, bounds, smoothing, c)
+    pts = perturbed_grid(xs, is_sample)
+    return gp_log_p(state, None, None, None, None, pts, is_sample, bounds, smoothing, c)[0]
 
 
 def estimate_ptilde_batch(path, xs, is_sample, bounds, smoothing, c) -> np.ndarray:
     """log of the path failure probability at a batch of nominal designs."""
-    return _estimate_batch(_rff_log_j, path, xs, is_sample, bounds, smoothing, c)
+    return _path_log_p(path, xs, is_sample, bounds, smoothing, c, False)[0]
 
 
 def evaluate_true_failure(

@@ -26,6 +26,7 @@ from .optimizers import multistart_qn
 NOISE_VARIANCE = 0.01**2  # standardized units, never fitted
 NUGGET = 1e-12  # posterior-variance floor, standardized units
 OUTPUT_STD_FLOOR = 1e-8
+MAP_RESTARTS = 5  # prior draws after the prior-mode start of fit_map
 
 # Gamma priors (shape, rate) on the hyperparameters.
 PRIOR_OUTPUT_SCALE_SQ = (2.0, 0.15)
@@ -59,17 +60,13 @@ class Transforms:
     output_std: float
 
     @classmethod
-    def from_data(cls, inputs, targets, bounds=None):
-        inputs = np.atleast_2d(inputs)
-        if bounds is not None:
-            bounds = np.asarray(bounds, float)
-            lo, hi = bounds[:, 0], bounds[:, 1]
-        else:
-            lo, hi = inputs.min(axis=0), inputs.max(axis=0)
+    def from_data(cls, targets, bounds):
+        """Map the box ``bounds`` to [0,1]^d and standardize the targets."""
+        bounds = np.asarray(bounds, float)
+        lo, hi = bounds[:, 0], bounds[:, 1]
         hi = np.where(hi > lo, hi, lo + 1.0)
-        mu = float(np.mean(targets)) if len(targets) else 0.0
-        sd = float(np.std(targets)) if len(targets) else 1.0
-        return cls(lo, hi, mu, max(sd, OUTPUT_STD_FLOOR))
+        sd = float(np.std(targets))
+        return cls(lo, hi, float(np.mean(targets)), max(sd, OUTPUT_STD_FLOOR))
 
     @property
     def input_scale(self):
@@ -158,9 +155,7 @@ class SurrogateState:
     """
 
     def __init__(self, train_inputs, train_targets, transforms, hyperparams, jitter=0.0):
-        self.train_inputs = np.atleast_2d(np.asarray(train_inputs, float)) if len(
-            np.atleast_1d(train_targets)
-        ) else np.zeros((0, len(transforms.input_lo)))
+        self.train_inputs = np.atleast_2d(np.asarray(train_inputs, float))
         self.train_targets = np.atleast_1d(np.asarray(train_targets, float))
         self.transforms = transforms
         self.hyperparams = hyperparams
@@ -169,17 +164,13 @@ class SurrogateState:
 
     def _build(self):
         hp, tr = self.hyperparams, self.transforms
-        self.Xn = tr.x_to_unit(self.train_inputs) if self.n else np.zeros((0, self.dim))
+        self.Xn = tr.x_to_unit(self.train_inputs)
         zc = tr.y_standardize(self.train_targets) - hp.constant_mean
-        if self.n:
-            K = matern52(self.Xn, self.Xn, hp)
-            K[np.diag_indices_from(K)] += hp.noise_variance + self.jitter
-            self.chol = cholesky(K, lower=True)
-            self.chol_inv = solve_triangular(self.chol, np.eye(self.n), lower=True)
-            self.alpha = cho_solve((self.chol, True), zc)
-        else:
-            self.chol = self.chol_inv = np.zeros((0, 0))
-            self.alpha = np.zeros(0)
+        K = matern52(self.Xn, self.Xn, hp)
+        K[np.diag_indices_from(K)] += hp.noise_variance + self.jitter
+        self.chol = cholesky(K, lower=True)
+        self.chol_inv = solve_triangular(self.chol, np.eye(self.n), lower=True)
+        self.alpha = cho_solve((self.chol, True), zc)
         self._zc = zc
         # The (n, n + 1) right-hand side every posterior block is multiplied
         # by: [alpha | L^-T]. One product with the (m, n) kernel block gives
@@ -499,19 +490,19 @@ def _nll_and_grad(theta, Xn, zc_raw, jitter):
     return -(mll + logprior), -grad
 
 
-def fit_map(inputs, targets, bounds=None, seed=0, n_restarts: int = 5) -> SurrogateState:
+def fit_map(inputs, targets, bounds, seed=0) -> SurrogateState:
     """Fit MAP hyperparameters and return the resulting posterior state.
 
-    Inputs are normalized to [0,1]^d (using ``bounds`` when given, else the
-    data range) and outputs standardized before fitting. Multi-start bounded
-    quasi-Newton in log-hyperparameter space, with restarts drawn from the
+    Inputs are normalized to [0,1]^d by the box ``bounds`` and outputs
+    standardized before fitting. Multi-start bounded quasi-Newton in
+    log-hyperparameter space, with ``MAP_RESTARTS`` restarts drawn from the
     priors; duplicate inputs trigger jitter escalation before failing.
     """
     inputs = np.atleast_2d(np.asarray(inputs, float))
     targets = np.atleast_1d(np.asarray(targets, float))
     if len(targets) < 1:
         raise ValueError("need at least one observation")
-    tr = Transforms.from_data(inputs, targets, bounds)
+    tr = Transforms.from_data(targets, bounds)
     Xn = tr.x_to_unit(inputs)
     zc_raw = tr.y_standardize(targets)
     d = inputs.shape[1]
@@ -527,7 +518,7 @@ def fit_map(inputs, targets, bounds=None, seed=0, n_restarts: int = 5) -> Surrog
             ]
         )
     ]
-    while len(starts) < n_restarts + 1:
+    while len(starts) < MAP_RESTARTS + 1:
         s2 = rng.gamma(PRIOR_OUTPUT_SCALE_SQ[0], 1.0 / PRIOR_OUTPUT_SCALE_SQ[1])
         ls = rng.gamma(PRIOR_LENGTHSCALE[0], 1.0 / PRIOR_LENGTHSCALE[1], size=d)
         starts.append(np.concatenate([[np.log(s2)], np.log(ls), [0.0]]))

@@ -85,7 +85,7 @@ def noiseless_state():
     X = SobolStream(2, scramble_seed=2).take(12)
     y = np.sin(6.0 * X[:, 0]) + X[:, 1] ** 2
     hp = GPHyperparams(1.0, np.full(2, 0.3), 0.0, noise_variance=1e-14)
-    return SurrogateState(X, y, Transforms.from_data(X, y, [[0, 1], [0, 1]]), hp)
+    return SurrogateState(X, y, Transforms.from_data(y, [[0, 1], [0, 1]]), hp)
 
 
 @pytest.fixture(scope="session")

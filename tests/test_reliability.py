@@ -24,7 +24,6 @@ from relbo.reliability import (
     estimate_ptilde_batch,
     evaluate_true_failure,
     _feasibility_parts,
-    _gp_log_j,
     _ramp,
     log_mean_wj,
     perturbed_grid,
@@ -442,8 +441,8 @@ class TestLogMeanWj:
         prob = branin_problem
         sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(2, seed=3))
         x = np.array([[2.5, 7.5]])
-        log_j, _ = _gp_log_j(
-            branin_state, x, sample, prob.bounds, SmoothingConfig(0.5), prob.c, False
+        log_j = log_j_at(
+            branin_state, perturbed_grid(x, sample), prob.bounds, SmoothingConfig(0.5), prob.c
         )
         got, _ = log_mean_wj(sample.log_weights, log_j)
         assert np.ndim(got) == 0

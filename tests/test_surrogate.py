@@ -214,7 +214,7 @@ class TestFitMap:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_map(np.zeros((0, 2)), np.zeros(0))
+            fit_map(np.zeros((0, 2)), np.zeros(0), bounds=[[0, 1], [0, 1]])
 
     @pytest.mark.parametrize("name, n", [("branin-2d", 25), ("hartmann-6d", 30)])
     def test_map_objective_gradient_matches_fd(self, name, n):
