@@ -30,10 +30,10 @@ from .optimizers import boltzmann_restarts, direct_maximize, multistart_qn
 from .problems import Problem
 from .reliability import (
     SmoothingConfig,
+    _log_p,
     draw_is_sample,
     estimate_ptilde,
     estimate_ptilde_batch,
-    gp_log_p,
     perturbed_grid,
 )
 from .surrogate import SurrogateState
@@ -327,7 +327,10 @@ def _fantasy_log_p(state, y, z, xs, is_sample, bounds, smoothing, c):
         state, np.repeat(z, len(is_sample)), mean, var, kty, vy[0],
         (dmean, dvar, dk_dt, dk_dy, dvy[0]),
     )
-    log_p, grad = gp_log_p(state, *marginal, pts, is_sample, bounds, smoothing, c)
+    log_p, grad = _log_p(
+        lambda sel: marginal, state.variance_floor, c, pts, is_sample, bounds,
+        smoothing.delta, True,
+    )
     return log_p, grad[:, :d], grad[:, d:]
 
 
@@ -358,9 +361,9 @@ class _FantasyScan:
     def grid_values(self, smoothing):
         """The current value of every grid design under ``smoothing``; their
         maximum is the term the knowledge gradient subtracts."""
-        log_p, _ = gp_log_p(
-            self.state, self.mean, self.var, None, None, self.pts, self.is_sample,
-            self.bounds, smoothing, self.c,
+        log_p, _ = _log_p(
+            lambda sel: (self.mean[sel], self.var[sel]), self.state.variance_floor, self.c,
+            self.pts, self.is_sample, self.bounds, smoothing.delta, False,
         )
         return _value_from_log_p(log_p, self.spec.use_log)
 
@@ -370,12 +373,20 @@ class _FantasyScan:
         y = np.asarray(y, float)
         _, vy = self.state.posterior(y[None, :])
         kty = self._cross_cov(y)
-        fmean, fvar, _, _ = _fantasy_marginal(
-            self.state, self.z[:, None], self.mean, self.var, kty, vy[0]
-        )
-        return gp_log_p(
-            self.state, fmean, fvar, None, None, self.pts, self.is_sample, self.bounds,
-            smoothing, self.c,
+
+        def marginal_at(sel):
+            # The update is formed at the kept rows only, point-major (kept,
+            # Nv), and handed on as its (Nv, kept) transpose: log_ndtr took
+            # 1.2-1.5x as long over the same values laid out fantasy-major.
+            fmean, fvar, _, _ = _fantasy_marginal(
+                self.state, self.z, self.mean[sel, None], self.var[sel, None],
+                kty[sel, None], vy[0],
+            )
+            return fmean.T, fvar.T
+
+        return _log_p(
+            marginal_at, self.state.variance_floor, self.c, self.pts, self.is_sample,
+            self.bounds, smoothing.delta, False,
         )[0]
 
     def value_at(self, y):

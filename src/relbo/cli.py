@@ -4,6 +4,7 @@ existing traces, and aggregate traces into reports."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -20,10 +21,8 @@ from .report import aggregate_traces, emit_plot, write_summary
 
 def _cmd_run(args):
     config = load_config(args.config, out_dir=args.out)
-    if args.repeats is not None:
-        config.repeats = args.repeats
-    if args.seed is not None:
-        config.base_seed = args.seed
+    overrides = {"repeats": args.repeats, "base_seed": args.seed}  # checked by __post_init__
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     if args.parallel > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             manifest = run_experiment(config, executor=pool)

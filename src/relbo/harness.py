@@ -76,6 +76,8 @@ class ExperimentConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         for name, value in qmc_sizes.items():
             if value & (value - 1):
                 raise ValueError(f"{name} must be a power of two, got {value}")

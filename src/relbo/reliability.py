@@ -1,16 +1,16 @@
 """Failure-probability estimators.
 
 Everything funnels through the same smoothed, importance-weighted qMC sum,
-log P = log mean(w * J) over the perturbations, J = Phi(h) * iota + (1 - iota):
-the surrogate-based estimate of the expected failure probability (h from the
-GP posterior marginal), the Thompson-path variant (h from a sample path),
-and the hard-indicator ground-truth evaluator used for scoring
-recommendations. One function, ``_log_p``, turns either source's h into log
-P and its gradient, behind a GP entry (``gp_log_p``) and a path entry
-(``_path_log_p``). J = 1 wherever iota = 0, so the value-only GP estimate
-(``estimate_pn_batch``) evaluates the posterior only at the perturbed points
-with iota > 0. All accumulation happens in log-space so that probabilities
-far below 1e-8 neither underflow nor lose their gradients.
+log P = log mean(w * J) over the perturbations, J = Phi(h) * iota + (1 - iota)
+with h = (mean - c) / sd of a Gaussian marginal: the surrogate-based estimate
+of the expected failure probability (the GP posterior or its fantasy update),
+the Thompson-path variant (mean the sample path, variance rho^2), and the
+hard-indicator ground-truth evaluator used for scoring recommendations. One
+function, ``_log_p``, standardizes any source's (mean, var) into h and turns
+it into log P and its gradient. J = 1 wherever iota = 0, so a value-only
+source forms its marginal only at the perturbed points with iota > 0. All
+accumulation happens in log-space so that probabilities far below 1e-8
+neither underflow nor lose their gradients.
 """
 
 from __future__ import annotations
@@ -200,34 +200,44 @@ def _logsumexp(terms):
     return np.log1p(s / m) + np.log(m) + top[..., 0]
 
 
-def _log_p(h_at, pts, is_sample, bounds, delta, want_grad):
+def _log_p(marginal_at, floor, c, pts, is_sample, bounds, delta, want_grad):
     """log P = log mean(w * J) over the perturbations of each design, for J =
     Phi(h) * iota + (1 - iota) at the perturbed grid ``pts`` (design-major,
     as from :func:`perturbed_grid`) and iota its smoothed box indicator, and
-    the gradient of log P. The ratios of d log J to dh and to d iota are
-    computed stably in the deep tail.
+    the gradient of log P. This is the only code that standardizes: h = (mean
+    - c) / sigma, sigma = sqrt(max(var, floor)). Where var is at the floor
+    Phi(h) degenerates to the indicator of h >= 0. The ratios of d log J to
+    dh and to d iota are computed stably in the deep tail.
 
-    ``h_at(sel)`` gives a source's standardized values h at the points
-    ``sel`` selects on the last axis: every point with ``want_grad``, else
-    those with iota > 0 (J = 1 elsewhere, whatever the source), and only
-    there does the value-only GP source form its posterior. With h come
-    its gradients dh, one row per point (None without ``want_grad``), and
-    the mask of points at the posterior-variance floor (None if the source
-    has no floor), where Phi(h) degenerates to the indicator of h >= 0.
-    Without gradients h may carry leading axes over the point axis (one row
-    per fantasy, say), and log P keeps them. The k columns of dh may run
-    past the d coordinates of a point (derivatives w.r.t. a fantasy site,
-    say); iota enters only the first d.
+    ``marginal_at(sel)`` gives a source's (mean, var) at the points ``sel``
+    selects on the last axis: every point with ``want_grad``, else those with
+    iota > 0 (J = 1 elsewhere, whatever the source), and only there does a
+    value-only source form its marginal. With ``want_grad`` (dmean, dvar)
+    follow, one row per point. Without gradients the marginal may carry
+    leading axes over the point axis (one row per fantasy, say), and log P
+    keeps them. The k columns of the gradients may run past the d
+    coordinates of a point (derivatives w.r.t. a fantasy site, say); iota
+    enters only the first d.
 
     Returns (log_p (..., m), grad (m, k) or None).
     """
     n_u = len(is_sample)
     iota, diota = _feasibility_parts(pts, bounds, delta, want_grad)
     sel = slice(None) if want_grad else iota > 0.0
-    h, dh, deg = h_at(sel)
+    mean, var, *dmarginal = marginal_at(sel)
+    sigma = np.sqrt(np.maximum(var, floor))
+    h = (mean - c) / sigma
+    deg = var <= floor * (1.0 + 1e-6)
+    if want_grad:
+        dmean, dvar = dmarginal
+        sigma = np.reshape(sigma, (-1, 1))  # var may be one value for every point
+        with np.errstate(invalid="ignore"):
+            dh = np.nan_to_num((dmean - h[:, None] * (dvar / (2.0 * sigma))) / sigma, nan=0.0)
+    # Free the marginal before log J and the reduction allocate as much.
+    del mean, var, sigma, dmarginal
     iota = iota[sel]
     log_phi = std_normal_log_cdf(h)
-    if deg is not None and np.any(deg):
+    if np.any(deg):
         log_phi = np.where(deg, np.where(h >= 0.0, 0.0, -np.inf), log_phi)
     log_j = log_phi
     if want_grad or delta > 0.0:  # else the kept iota are all 1
@@ -250,7 +260,7 @@ def _log_p(h_at, pts, is_sample, bounds, delta, want_grad):
             0.0,
         )
     ratio_h = np.nan_to_num(ratio_h, nan=0.0)
-    if deg is not None:
+    if np.any(deg):
         ratio_h = np.where(deg, 0.0, ratio_h)
     j_safe = np.exp(np.maximum(log_j, -700.0))
     ratio_iota = np.where(iota < 1.0, (np.exp(log_phi) - 1.0) / j_safe, 0.0)
@@ -261,49 +271,22 @@ def _log_p(h_at, pts, is_sample, bounds, delta, want_grad):
     )
 
 
-def gp_log_p(state, mean, var, dmean, dvar, pts, is_sample, bounds, smoothing, c):
-    """log P under a GP posterior marginal at the perturbed grid ``pts``, for
-    h = (mean - c) / sigma, sigma the floored posterior sd, and its gradient
-    as from :func:`_log_p`.
-
-    The gradient is formed when ``dmean`` is given. Without it ``mean`` and
-    ``var`` may carry leading axes over the point axis and are gathered at
-    the points ``_log_p`` keeps before h is formed; when they are None the
-    posterior is formed at those points alone.
-    """
-    floor = state.variance_floor
-
-    def h_at(sel):
-        mu, v = state.posterior(pts[sel]) if mean is None else (mean[..., sel], var[..., sel])
-        sigma = np.sqrt(np.maximum(v, floor))
-        h = (mu - c) / sigma
-        deg = v <= floor * (1.0 + 1e-6)
-        if dmean is None:
-            return h, None, deg
-        dsigma = dvar / (2.0 * sigma[:, None])
-        with np.errstate(invalid="ignore"):
-            dh = np.nan_to_num((dmean - h[:, None] * dsigma) / sigma[:, None], nan=0.0)
-        return h, dh, deg
-
-    return _log_p(h_at, pts, is_sample, bounds, smoothing.delta, dmean is not None)
-
-
 def _path_log_p(path, xs, is_sample, bounds, smoothing, c, want_grad):
-    """log P for a sample path at each design in ``xs``, for h = (path - c) /
-    rho, shape (m,), and its gradient w.r.t. the design, (m, d)."""
+    """log P for a sample path at each design in ``xs``, (m,), and its gradient
+    w.r.t. the design, (m, d): the path is the mean of a marginal of variance
+    rho^2 and no floor, so h = (path - c) / rho, as sqrt(rho^2) = rho exactly."""
     xs = np.atleast_2d(np.asarray(xs, float))
+    # Evaluated before the perturbed grid exists, which would add to its peak memory.
     if want_grad:
         vals, dvals = path.evaluate_with_grad(xs, is_sample.points)
-        dh = dvals.reshape(-1, xs.shape[1]) / smoothing.rho
+        grads = (dvals.reshape(-1, xs.shape[1]), 0.0)
     else:
-        vals, dh = path.evaluate(xs, is_sample.points), None
-    vals = vals.reshape(-1)
-
-    def h_at(sel):
-        return (vals[sel] - c) / smoothing.rho, dh, None
-
+        vals, grads = path.evaluate(xs, is_sample.points), ()
     pts = perturbed_grid(xs, is_sample)
-    return _log_p(h_at, pts, is_sample, bounds, smoothing.delta, want_grad)
+    return _log_p(
+        lambda sel: (vals.reshape(-1)[sel], smoothing.rho**2, *grads), 0.0, c, pts, is_sample,
+        bounds, smoothing.delta, want_grad,
+    )
 
 
 def perturbed_grid(xs, is_sample):
@@ -328,8 +311,10 @@ def estimate_pn(
     and its exact gradient: (log_p, grad_log_p).
     """
     pts = perturbed_grid(np.reshape(x, (1, -1)), is_sample)
-    marginal = state.posterior_with_grad(pts)
-    log_p, grad = gp_log_p(state, *marginal, pts, is_sample, bounds, smoothing, c)
+    log_p, grad = _log_p(
+        lambda sel: state.posterior_with_grad(pts), state.variance_floor, c, pts, is_sample,
+        bounds, smoothing.delta, True,
+    )
     return float(log_p[0]), grad[0]
 
 
@@ -361,7 +346,10 @@ def estimate_pn_batch(
     Vectorized across candidates; equal to looping :func:`estimate_pn`.
     """
     pts = perturbed_grid(xs, is_sample)
-    return gp_log_p(state, None, None, None, None, pts, is_sample, bounds, smoothing, c)[0]
+    return _log_p(
+        lambda sel: state.posterior(pts[sel]), state.variance_floor, c, pts, is_sample,
+        bounds, smoothing.delta, False,
+    )[0]
 
 
 def estimate_ptilde_batch(path, xs, is_sample, bounds, smoothing, c) -> np.ndarray:

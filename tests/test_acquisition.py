@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import relbo.acquisition as acquisition
+import relbo.reliability as reliability
 from conftest import fd_gradient_error
 from reference import kg_discrete_value
 from relbo.acquisition import (
@@ -38,6 +39,7 @@ from relbo.reliability import (
     PerturbationModel,
     SmoothingConfig,
     draw_is_sample,
+    smooth_feasibility,
 )
 from relbo.surrogate import GPHyperparams, fit_map, prior_state
 
@@ -281,6 +283,59 @@ class TestDiscreteKG:
         assert np.all(y1 >= branin_problem.bounds[:, 0])
         assert np.all(y1 <= branin_problem.bounds[:, 1])
         assert d1.value >= -1e-2
+
+
+class TestKeptRowScan:
+    """The candidate scan forms its fantasy update only at the perturbed grid
+    points inside the box (iota > 0), point-major."""
+
+    def scan(self, name, n):
+        prob, state = fitted(name, n)
+        bounds, span = prob.bounds, prob.bounds[:, 1] - prob.bounds[:, 0]
+        spec = small_spec("kg_mr_discrete")
+        streams = IterationStreams.from_seed(11, prob.dim)
+        is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+        z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+        x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
+        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec)
+        kept = np.count_nonzero(smooth_feasibility(scan.pts, bounds, 0.0) > 0.0)
+        assert 0 < kept < len(scan.pts)
+        sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(4) * span
+        return scan, kept, sites
+
+    @pytest.mark.parametrize("name, n", [("branin-2d", 30), ("hartmann-6d", 40)])
+    def test_update_formed_at_exactly_the_kept_rows(self, name, n, monkeypatch):
+        scan, kept, sites = self.scan(name, n)
+        shapes, real = [], acquisition._fantasy_marginal
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            shapes.append(out[0].shape)
+            return out
+
+        monkeypatch.setattr(acquisition, "_fantasy_marginal", spy)
+        for smoothing in (scan.hard, SmoothingConfig.for_box(scan.bounds)):
+            for y in sites:
+                scan.log_p_at(y, smoothing)
+        assert shapes == [(kept, len(scan.z))] * (2 * len(sites))
+
+    def test_log_ndtr_reads_each_points_fantasies_together(self, monkeypatch):
+        """log_ndtr's input h, (Nv, kept), is F-contiguous, so that each
+        point's fantasies lie next to each other. Over the same values in C
+        order, log_ndtr took 1.5x as long on 2 CPUs: 1.18 s against 0.79 s
+        over the 25.5M elements of the 65 scan calls on a kgd-branin fixture
+        (1.08-1.29 s against 0.90-0.93 s over 31.9M elements in a rerun)."""
+        scan, kept, sites = self.scan("branin-2d", 30)
+        layouts, real = [], reliability.std_normal_log_cdf
+
+        def spy(h):
+            layouts.append((h.shape, h.flags.f_contiguous))
+            return real(h)
+
+        monkeypatch.setattr(reliability, "std_normal_log_cdf", spy)
+        for y in sites:
+            scan.value_at(y)
+        assert layouts == [((len(scan.z), kept), True)] * len(sites)
 
 
 class TestOneShotKG:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from relbo import cli
 from relbo.cli import main
 from relbo.harness import environment_fingerprint
@@ -73,6 +75,12 @@ def test_repeat_and_seed_overrides(tmp_path):
         == 0
     )
     assert len(list(out.glob("trace_*.csv"))) == 1
+    # A bad override fails when the config is built, before any manifest.
+    for flag, value in (("--repeats", "0"), ("--seed", "-1")):
+        bad = tmp_path / f"bad{flag}"
+        with pytest.raises(ValueError, match="repeats|base_seed"):
+            main(["run", "--config", str(cfg), "--out", str(bad), flag, value])
+        assert not list(bad.glob("manifest_*.json"))
 
 
 def test_parallel_run_matches_sequential(tmp_path):

@@ -174,6 +174,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(config_with(tmp_path, section, key, 0))
 
+    def test_negative_base_seed_rejected(self, tmp_path):
+        # It would otherwise load and fail every repeat in SeedSequence.
+        with pytest.raises(ValueError, match="base_seed"):
+            load_config(config_with(tmp_path, "budget", "base_seed", -1))
+
     @pytest.mark.parametrize(
         "key, value", [("rho", 0), ("kappa", -1), ("eps_s", -0.5), ("delta_band", -0.1)]
     )
