@@ -12,7 +12,6 @@ from .problems import Problem, get_problem, make_gp_problem
 from .reliability import (
     ISSample,
     PerturbationModel,
-    SmoothingConfig,
     draw_is_sample,
     estimate_pn,
     estimate_ptilde,
@@ -28,7 +27,6 @@ __all__ = [
     "IterationStreams",
     "PerturbationModel",
     "Problem",
-    "SmoothingConfig",
     "SurrogateState",
     "draw_is_sample",
     "estimate_pn",

@@ -29,12 +29,12 @@ from .numerics import (
 from .optimizers import boltzmann_restarts, direct_maximize, multistart_qn
 from .problems import Problem
 from .reliability import (
-    SmoothingConfig,
     _log_p,
     draw_is_sample,
     estimate_ptilde,
     estimate_ptilde_batch,
     perturbed_grid,
+    smoothing_width,
 )
 from .surrogate import SurrogateState
 
@@ -42,6 +42,9 @@ log = logging.getLogger(__name__)
 
 # Boundary for clamping standardized deviations so log CDFs stay finite.
 _H_CLAMP = 37.0
+# ts_mr's stage 2 draws this many perturbation candidates from N(0, Sigma_u)
+# and as many uniformly in the box, besides u = 0.
+_U_DRAW = 64
 
 
 @dataclass
@@ -71,6 +74,12 @@ class AcquisitionSpec:
             raise ValueError("tau must be >= 1")
         if not (self.rho > 0 and self.kappa > 0):
             raise ValueError("rho and kappa must be positive")
+        if self.kind == "ts_mr" and self.n_restarts > 2 * _U_DRAW + 1:
+            raise ValueError(
+                f"ts_mr's n_restarts must be <= its {2 * _U_DRAW + 1} perturbation candidates"
+            )
+        if self.direct_budget_per_dim < 3:
+            raise ValueError("direct_budget_per_dim must be >= 3")
         if any(v is not None and not v >= 0 for v in (self.eps_s, self.delta_band)):
             raise ValueError("eps_s and delta_band must be non-negative")
 
@@ -215,19 +224,21 @@ def ts_mr_next(ctx: AcqContext):
     state, problem, spec, streams = ctx.state, ctx.problem, ctx.spec, ctx.streams
     bounds = problem.bounds
     d = bounds.shape[0]
-    smoothing = SmoothingConfig.for_box(bounds, rho=spec.rho)
+    delta = smoothing_width(bounds)
     path = state.draw_rff_path(1024, seed=streams.path_seed)
     is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
     path = path.fix_perturbations(is_sample.points)
 
     # Stage 1: nominal design minimizing the path's log failure probability.
     cands = _raw_candidates(ctx)
-    cand_vals = -estimate_ptilde_batch(path, cands, is_sample, bounds, smoothing, problem.c)
+    cand_vals = -estimate_ptilde_batch(
+        path, cands, is_sample, bounds, delta, problem.c, spec.rho
+    )
     starts = boltzmann_restarts(cands, cand_vals, spec.n_restarts, streams.restart_seed)
 
     x_objective = partial(
-        estimate_ptilde, path, is_sample=is_sample, bounds=bounds, smoothing=smoothing,
-        c=problem.c,
+        estimate_ptilde, path, is_sample=is_sample, bounds=bounds, delta=delta, c=problem.c,
+        rho=spec.rho,
     )
     x_next, _, _ = multistart_qn(x_objective, bounds, starts)
 
@@ -249,11 +260,11 @@ def ts_mr_next(ctx: AcqContext):
         ratio = np.where(clamped, 0.0, _phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi))
         return val, -us / sigmas**2 + ratio[:, None] * dh
 
-    u_qmc = gaussian_qmc(streams.u_stream, 64, np.zeros(d), sigmas)[:, :d]
+    u_qmc = gaussian_qmc(streams.u_stream, _U_DRAW, np.zeros(d), sigmas)[:, :d]
     u_cands = np.vstack([
         np.zeros((1, d)),
         np.clip(u_qmc, u_bounds[:, 0], u_bounds[:, 1]),
-        _scale_to_box(streams.x_stream.take(64), u_bounds),
+        _scale_to_box(streams.x_stream.take(_U_DRAW), u_bounds),
     ])
     u_next, u_val, _ = _maximize(
         u_score, ctx, u_bounds, u_cands, seed=streams.restart_seed + 1
@@ -312,9 +323,10 @@ def _fantasy_marginal(state, z, mean, var, kty, vy, grads=None):
     return fmean, fvar, dfmean, dfvar
 
 
-def _fantasy_log_p(state, y, z, xs, is_sample, bounds, smoothing, c):
+def _fantasy_log_p(state, y, z, xs, is_sample, bounds, delta, c):
     """Per-fantasy log failure probability at designs ``xs`` (one per draw in
-    ``z``) after conditioning on the fantasy observation at ``y``.
+    ``z``) after conditioning on the fantasy observation at ``y``, under
+    bounds smoothing of width ``delta``.
 
     Returns (log_p (Nv,), grad_x (Nv, d), grad_y (Nv, d)).
     """
@@ -328,8 +340,7 @@ def _fantasy_log_p(state, y, z, xs, is_sample, bounds, smoothing, c):
         (dmean, dvar, dk_dt, dk_dy, dvy[0]),
     )
     log_p, grad = _log_p(
-        lambda sel: marginal, state.variance_floor, c, pts, is_sample, bounds,
-        smoothing.delta, True,
+        lambda sel: marginal, state.variance_floor, c, pts, is_sample, bounds, delta, True
     )
     return log_p, grad[:, :d], grad[:, d:]
 
@@ -341,35 +352,36 @@ class _FantasyScan:
     The perturbed design grid (every grid design plus every perturbation) is
     candidate-independent, so its base posterior is computed once; each
     candidate then only needs a cross-covariance vector and the rank-one
-    fantasy update of the mean and variance.
+    fantasy update of the mean and variance. Values are -log P, or -P when
+    ``use_log`` is false.
     """
 
-    def __init__(self, state, x_disc, z_sample, is_sample, bounds, c, spec):
+    def __init__(self, state, x_disc, z_sample, is_sample, bounds, c, use_log):
         self.state = state
         self.z = np.asarray(z_sample, float)
         self.is_sample = is_sample
         self.bounds = np.asarray(bounds, float)
         self.c = c
-        self.spec = spec
-        self.hard = SmoothingConfig(0.0, spec.rho)
+        self.use_log = use_log
         self.x_disc = np.atleast_2d(np.asarray(x_disc, float))
         self.pts = pts = perturbed_grid(self.x_disc, is_sample)
         self.mean, self.var = state.posterior(pts)
         self._cross_cov = state.cross_cov_at(pts)
-        self.baseline = float(np.max(self.grid_values(self.hard)))
+        self.baseline = float(np.max(self.grid_values(0.0)))
 
-    def grid_values(self, smoothing):
-        """The current value of every grid design under ``smoothing``; their
-        maximum is the term the knowledge gradient subtracts."""
+    def grid_values(self, delta):
+        """The current value of every grid design under bounds smoothing of
+        width ``delta``; their maximum is the term the knowledge gradient
+        subtracts (at delta = 0)."""
         log_p, _ = _log_p(
             lambda sel: (self.mean[sel], self.var[sel]), self.state.variance_floor, self.c,
-            self.pts, self.is_sample, self.bounds, smoothing.delta, False,
+            self.pts, self.is_sample, self.bounds, delta, False,
         )
-        return _value_from_log_p(log_p, self.spec.use_log)
+        return _value_from_log_p(log_p, self.use_log)
 
-    def log_p_at(self, y, smoothing):
-        """log P at every grid design under every fantasy observed at ``y``,
-        shape (Nv, Nx)."""
+    def log_p_at(self, y, delta):
+        """log P at every grid design under every fantasy observed at ``y``
+        and bounds smoothing of width ``delta``, shape (Nv, Nx)."""
         y = np.asarray(y, float)
         _, vy = self.state.posterior(y[None, :])
         kty = self._cross_cov(y)
@@ -386,14 +398,14 @@ class _FantasyScan:
 
         return _log_p(
             marginal_at, self.state.variance_floor, self.c, self.pts, self.is_sample,
-            self.bounds, smoothing.delta, False,
+            self.bounds, delta, False,
         )[0]
 
     def value_at(self, y):
         """Discrete knowledge gradient at one candidate ``y``, and the
         per-fantasy index of the best grid design."""
-        log_p = self.log_p_at(y, self.hard)
-        best = np.max(_value_from_log_p(log_p, self.spec.use_log), axis=1)
+        log_p = self.log_p_at(y, 0.0)
+        best = np.max(_value_from_log_p(log_p, self.use_log), axis=1)
         argbest = np.argmin(log_p, axis=1)
         if np.any(best == np.inf):
             return np.inf, argbest
@@ -408,18 +420,19 @@ class _FantasyScan:
             return value, np.zeros(len(self.bounds))
         log_p, _, grad_y = _fantasy_log_p(
             self.state, y, self.z, self.x_disc[argbest], self.is_sample, self.bounds,
-            self.hard, self.c,
+            0.0, self.c,
         )
-        return value, np.sum(_value_grad(log_p, grad_y, self.spec.use_log), axis=0) / len(self.z)
+        return value, np.sum(_value_grad(log_p, grad_y, self.use_log), axis=0) / len(self.z)
 
     def scan(self, ys):
         """``value_at`` over candidates."""
         return np.array([self.value_at(y)[0] for y in ys])
 
 
-def oneshot_objective(state, joint, z_sample, is_sample, bounds, smoothing, c, use_log):
+def oneshot_objective(state, joint, z_sample, is_sample, bounds, delta, c, use_log):
     """The joint one-shot objective: the fantasy-averaged best-achievable
-    value as a function of (y, x_1..x_Nv) flattened, with its gradient.
+    value as a function of (y, x_1..x_Nv) flattened, with its gradient, under
+    bounds smoothing of width ``delta``.
 
     The current-state baseline term is constant in the decision variables and
     excluded here.
@@ -429,9 +442,7 @@ def oneshot_objective(state, joint, z_sample, is_sample, bounds, smoothing, c, u
     n_v = len(z_sample)
     joint = np.asarray(joint, float)
     y, xs = joint[:d], joint[d:].reshape(n_v, d)
-    log_p, grad_x, grad_y = _fantasy_log_p(
-        state, y, z_sample, xs, is_sample, bounds, smoothing, c
-    )
+    log_p, grad_x, grad_y = _fantasy_log_p(state, y, z_sample, xs, is_sample, bounds, delta, c)
     if use_log and np.any(np.isinf(log_p)):
         return np.inf, np.zeros_like(joint)
     value = float(np.mean(_value_from_log_p(log_p, use_log)))
@@ -451,7 +462,7 @@ def _kg_scan(ctx: AcqContext):
     is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
     z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
     x_disc = _scale_to_box(streams.x_stream.take(spec.n_x), bounds)
-    scan = _FantasyScan(ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, spec)
+    scan = _FantasyScan(ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, spec.use_log)
     cands = _raw_candidates(ctx)
     return scan, cands, scan.scan(cands)
 
@@ -480,19 +491,18 @@ def kg_oneshot_next(ctx: AcqContext):
     scan, cands, vals = _kg_scan(ctx)
     if np.any(np.isinf(vals)):
         return cands[int(np.argmax(np.isinf(vals)))], AcqDiagnostics(np.inf, "kg_mr_oneshot")
-    smoothing = SmoothingConfig.for_box(bounds, rho=spec.rho)
+    delta = smoothing_width(bounds)
     # Each chosen site starts with the per-fantasy best grid designs under the
     # smoothing the joint objective is maximized under.
     starts = []
     for y0 in boltzmann_restarts(cands, vals, spec.n_restarts, streams.restart_seed):
-        argbest = np.argmin(scan.log_p_at(y0, smoothing), axis=1)
+        argbest = np.argmin(scan.log_p_at(y0, delta), axis=1)
         starts.append(np.concatenate([y0, scan.x_disc[argbest].ravel()]))
     joint_bounds = np.vstack([bounds] * (1 + spec.n_v))
 
     def objective(joint):
         return oneshot_objective(
-            state, joint, scan.z, scan.is_sample, bounds, smoothing, problem.c,
-            spec.use_log,
+            state, joint, scan.z, scan.is_sample, bounds, delta, problem.c, spec.use_log
         )
 
     joint_best, _, _ = multistart_qn(
@@ -502,12 +512,12 @@ def kg_oneshot_next(ctx: AcqContext):
     # the joint objective is maximized under. Each fantasy keeps the better of
     # its optimized design and that best grid design, so an inner maximization
     # that stopped short cannot report less than keeping the current best.
-    values = scan.grid_values(smoothing)
+    values = scan.grid_values(delta)
     y_next, xs = joint_best[:d], joint_best[d:].reshape(spec.n_v, d)
     keep = np.tile(scan.x_disc[np.argmax(values)], (spec.n_v, 1))
     log_p, _, _ = _fantasy_log_p(
         state, y_next, np.tile(scan.z, 2), np.vstack([xs, keep]), scan.is_sample, bounds,
-        smoothing, problem.c,
+        delta, problem.c,
     )
     per_fantasy = _value_from_log_p(log_p.reshape(2, spec.n_v), spec.use_log)
     gain = float(np.mean(np.max(per_fantasy, axis=0)) - np.max(values))

@@ -24,13 +24,13 @@ from .numerics import SobolStream
 from .optimizers import boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
 from .reliability import (
-    SmoothingConfig,
     draw_is_sample,
     estimate_pn,
     estimate_pn_batch,
     evaluate_true_failure,
     perturbed_grid,
     smooth_feasibility,
+    smoothing_width,
 )
 from .surrogate import fit_map
 
@@ -211,26 +211,25 @@ def recommend(
     d = problem.dim
     if tau is None:
         tau = problem.default_tau
-    smoothing = SmoothingConfig.for_box(bounds)
+    delta = smoothing_width(bounds)
     u_stream = SobolStream(2 * ((d + 1) // 2), scramble_seed=_child_seed(seed, 1))
     sample = draw_is_sample(problem.perturb, tau, n_u_coarse, u_stream)
     cands = bounds[:, 0] + SobolStream(d, scramble_seed=_child_seed(seed, 2)).take(
         REC_CANDIDATES
     ) * (bounds[:, 1] - bounds[:, 0])
-    log_p = estimate_pn_batch(state, cands, sample, bounds, smoothing, problem.c)
+    log_p = estimate_pn_batch(state, cands, sample, bounds, delta, problem.c)
     if np.all(np.isinf(log_p)):
         # Every candidate has estimated failure probability zero; fall back to
         # the candidate keeping the most perturbation mass inside the box.
         log.warning("recommend: all candidates at zero estimated probability")
-        iota = smooth_feasibility(perturbed_grid(cands, sample), bounds, smoothing.delta)
+        iota = smooth_feasibility(perturbed_grid(cands, sample), bounds, delta)
         mass = np.mean(np.exp(sample.log_weights) * iota.reshape(len(cands), -1), axis=1)
         return cands[int(np.argmax(mass))], 0.0
     starts = boltzmann_restarts(cands, -log_p, restarts, _child_seed(seed, 3))
 
     def polish(is_sample, starts, **kwargs):
         objective = partial(
-            estimate_pn, state, is_sample=is_sample, bounds=bounds, smoothing=smoothing,
-            c=problem.c,
+            estimate_pn, state, is_sample=is_sample, bounds=bounds, delta=delta, c=problem.c
         )
         return multistart_qn(objective, bounds, starts, **kwargs)
 

@@ -81,26 +81,13 @@ def draw_is_sample(
     return ISSample(u, log_w)
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Bounds-smoothing width (design units) and the Thompson threshold width."""
-
-    delta: float
-    rho: float = 0.01
-
-    def __post_init__(self):
-        if self.delta < 0 or self.rho <= 0:
-            raise ValueError("delta must be >= 0 and rho > 0")
-
-    @classmethod
-    def for_box(cls, bounds, rho: float = 0.01):
-        """Smoothing width 5% of the box's shortest side, at most 0.1."""
-        bounds = np.asarray(bounds, float)
-        lmin = float(np.min(bounds[:, 1] - bounds[:, 0]))
-        return cls(min(0.05 * lmin, 0.1), rho)
-
-
 # -- bounds smoothing ------------------------------------------------------
+
+
+def smoothing_width(bounds) -> float:
+    """The bounds-smoothing width delta: 5% of the box's shortest side, at most 0.1."""
+    bounds = np.asarray(bounds, float)
+    return min(0.05 * float(np.min(bounds[:, 1] - bounds[:, 0])), 0.1)
 
 
 def _ramp(z):
@@ -140,6 +127,8 @@ def _feasibility_parts(points, bounds, delta, want_grad):
     a, b = bounds[:, 0], bounds[:, 1]
     if np.any(a >= b):
         raise ValueError("degenerate bounds")
+    if not delta >= 0:
+        raise ValueError("delta must be >= 0")
     m, d = P.shape
     if delta == 0.0:
         inside = np.all((P > a) & (P < b), axis=1)
@@ -271,7 +260,7 @@ def _log_p(marginal_at, floor, c, pts, is_sample, bounds, delta, want_grad):
     )
 
 
-def _path_log_p(path, xs, is_sample, bounds, smoothing, c, want_grad):
+def _path_log_p(path, xs, is_sample, bounds, delta, c, rho, want_grad):
     """log P for a sample path at each design in ``xs``, (m,), and its gradient
     w.r.t. the design, (m, d): the path is the mean of a marginal of variance
     rho^2 and no floor, so h = (path - c) / rho, as sqrt(rho^2) = rho exactly."""
@@ -284,8 +273,8 @@ def _path_log_p(path, xs, is_sample, bounds, smoothing, c, want_grad):
         vals, grads = path.evaluate(xs, is_sample.points), ()
     pts = perturbed_grid(xs, is_sample)
     return _log_p(
-        lambda sel: (vals.reshape(-1)[sel], smoothing.rho**2, *grads), 0.0, c, pts, is_sample,
-        bounds, smoothing.delta, want_grad,
+        lambda sel: (vals.reshape(-1)[sel], rho**2, *grads), 0.0, c, pts, is_sample, bounds,
+        delta, want_grad,
     )
 
 
@@ -299,47 +288,34 @@ def perturbed_grid(xs, is_sample):
 
 
 def estimate_pn(
-    state: SurrogateState,
-    x,
-    is_sample: ISSample,
-    bounds,
-    smoothing: SmoothingConfig,
-    c: float,
+    state: SurrogateState, x, is_sample: ISSample, bounds, delta: float, c: float
 ) -> tuple[float, np.ndarray]:
     """Smoothed, importance-weighted qMC estimate of the log expected failure
     probability at nominal design ``x`` (-inf when every term underflows),
-    and its exact gradient: (log_p, grad_log_p).
+    and its exact gradient: (log_p, grad_log_p). The box indicator is
+    smoothed by width ``delta`` (0: hard; see :func:`smoothing_width`).
     """
     pts = perturbed_grid(np.reshape(x, (1, -1)), is_sample)
     log_p, grad = _log_p(
         lambda sel: state.posterior_with_grad(pts), state.variance_floor, c, pts, is_sample,
-        bounds, smoothing.delta, True,
+        bounds, delta, True,
     )
     return float(log_p[0]), grad[0]
 
 
 def estimate_ptilde(
-    path: RFFPath,
-    x,
-    is_sample: ISSample,
-    bounds,
-    smoothing: SmoothingConfig,
-    c: float,
+    path: RFFPath, x, is_sample: ISSample, bounds, delta: float, c: float, rho: float
 ) -> tuple[float, np.ndarray]:
     """(log_p, grad_log_p) of the failure probability of a posterior sample
-    path, with the threshold indicator smoothed by Phi((path - c) / rho)."""
+    path, with the box indicator smoothed by width ``delta`` and the
+    threshold indicator by Phi((path - c) / rho)."""
     xs = np.reshape(x, (1, -1))
-    log_p, grad = _path_log_p(path, xs, is_sample, bounds, smoothing, c, True)
+    log_p, grad = _path_log_p(path, xs, is_sample, bounds, delta, c, rho, True)
     return float(log_p[0]), grad[0]
 
 
 def estimate_pn_batch(
-    state: SurrogateState,
-    xs: np.ndarray,
-    is_sample: ISSample,
-    bounds,
-    smoothing: SmoothingConfig,
-    c: float,
+    state: SurrogateState, xs: np.ndarray, is_sample: ISSample, bounds, delta: float, c: float
 ) -> np.ndarray:
     """log P_hat at each of a batch of nominal designs (no gradients).
 
@@ -348,13 +324,13 @@ def estimate_pn_batch(
     pts = perturbed_grid(xs, is_sample)
     return _log_p(
         lambda sel: state.posterior(pts[sel]), state.variance_floor, c, pts, is_sample,
-        bounds, smoothing.delta, False,
+        bounds, delta, False,
     )[0]
 
 
-def estimate_ptilde_batch(path, xs, is_sample, bounds, smoothing, c) -> np.ndarray:
+def estimate_ptilde_batch(path, xs, is_sample, bounds, delta, c, rho) -> np.ndarray:
     """log of the path failure probability at a batch of nominal designs."""
-    return _path_log_p(path, xs, is_sample, bounds, smoothing, c, False)[0]
+    return _path_log_p(path, xs, is_sample, bounds, delta, c, rho, False)[0]
 
 
 def evaluate_true_failure(

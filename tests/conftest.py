@@ -70,12 +70,12 @@ def fantasy_marginal(state, pts, y, z, want_grad):
     return _fantasy_marginal(state, z, mean, var, kty, vy[0], grads)[:2]
 
 
-def log_j_at(state, pts, bounds, smoothing, c):
+def log_j_at(state, pts, bounds, delta, c):
     """log J of the GP estimator at each of the points ``pts``: the estimate
     at that design under the one-point importance sample u = 0, weight 1."""
     pts = np.atleast_2d(np.asarray(pts, float))
     origin = ISSample(np.zeros((1, pts.shape[1])), np.zeros(1))
-    return estimate_pn_batch(state, pts, origin, bounds, smoothing, c)
+    return estimate_pn_batch(state, pts, origin, bounds, delta, c)
 
 
 @pytest.fixture(scope="session")

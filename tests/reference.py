@@ -13,7 +13,7 @@ from scipy import special
 
 from relbo.acquisition import _value_from_log_p
 from relbo.numerics import SobolStream
-from relbo.reliability import SmoothingConfig, estimate_pn_batch
+from relbo.reliability import estimate_pn_batch
 from relbo.report import AggregateCurve
 from relbo.surrogate import GPHyperparams, SurrogateState, _scaled_sqdist
 
@@ -62,14 +62,13 @@ def kg_discrete_value(
     re-estimates the failure probability over the grid. The bounds smoothing
     is zero here (the grid is fixed, no gradients needed).
     """
-    smoothing = SmoothingConfig(0.0, spec.rho)
     if baseline is None:
-        base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, smoothing, c)
+        base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, 0.0, c)
         baseline = float(np.max(_value_from_log_p(base_log, spec.use_log)))
     total = 0.0
     for z in z_sample:
         fant = refit_on_fantasy(state, y, float(z))
-        log_p = estimate_pn_batch(fant, x_disc, is_sample, bounds, smoothing, c)
+        log_p = estimate_pn_batch(fant, x_disc, is_sample, bounds, 0.0, c)
         best = np.max(_value_from_log_p(log_p, spec.use_log))
         if best == np.inf:
             return np.inf

@@ -59,13 +59,13 @@ from relbo.numerics import (
 from relbo.problems import get_problem
 from relbo.reliability import (
     PerturbationModel,
-    SmoothingConfig,
     draw_is_sample,
     estimate_pn,
     estimate_pn_batch,
     estimate_ptilde,
     estimate_ptilde_batch,
     evaluate_true_failure,
+    smoothing_width,
 )
 from relbo.surrogate import fit_map
 from reference import refit_on_fantasy, regularized_lower_gamma
@@ -154,17 +154,17 @@ def test_criterion_04_gradient_suite(branin_state, branin_problem):
     t0 = time.monotonic()
     prob = branin_problem
     span = prob.bounds[:, 1] - prob.bounds[:, 0]
-    smoothing = SmoothingConfig.for_box(prob.bounds)
+    delta = smoothing_width(prob.bounds)
     sample = draw_is_sample(prob.perturb, 3.0, 256, SobolStream(2, scramble_seed=1))
 
     checked = 0
     for x in box_points(prob.bounds, 40, seed=14):
-        log_p, grad = estimate_pn(branin_state, x, sample, prob.bounds, smoothing, prob.c)
+        log_p, grad = estimate_pn(branin_state, x, sample, prob.bounds, delta, prob.c)
         if not np.isfinite(log_p):
             continue
         err = fd_gradient_error(
             lambda p: estimate_pn_batch(
-                branin_state, p[None, :], sample, prob.bounds, smoothing, prob.c
+                branin_state, p[None, :], sample, prob.bounds, delta, prob.c
             )[0],
             x,
             grad,
@@ -177,15 +177,15 @@ def test_criterion_04_gradient_suite(branin_state, branin_problem):
     assert checked >= 20
 
     path = branin_state.draw_rff_path(1024, seed=3)
-    path_smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.5)
+    rho = 0.5
     checked_path = 0
     for x in box_points(prob.bounds, 40, seed=15):
-        log_p, grad = estimate_ptilde(path, x, sample, prob.bounds, path_smoothing, prob.c)
+        log_p, grad = estimate_ptilde(path, x, sample, prob.bounds, delta, prob.c, rho)
         if not np.isfinite(log_p):
             continue
         err = fd_gradient_error(
             lambda p: estimate_ptilde_batch(
-                path, p[None, :], sample, prob.bounds, path_smoothing, prob.c
+                path, p[None, :], sample, prob.bounds, delta, prob.c, rho
             )[0],
             x,
             grad,
@@ -207,13 +207,13 @@ def test_criterion_04_gradient_suite(branin_state, branin_problem):
             size=2 * (1 + n_v)
         ) * joint_span
         val, grad = oneshot_objective(
-            branin_state, joint, z_sample, sample, prob.bounds, smoothing, prob.c, True
+            branin_state, joint, z_sample, sample, prob.bounds, delta, prob.c, True
         )
         if not np.isfinite(val):
             continue
         err = fd_gradient_error(
             lambda j: oneshot_objective(
-                branin_state, j, z_sample, sample, prob.bounds, smoothing, prob.c, True
+                branin_state, j, z_sample, sample, prob.bounds, delta, prob.c, True
             )[0],
             joint,
             grad,
@@ -240,7 +240,9 @@ def test_criterion_05_kg_nonnegative(branin_state, branin_problem):
     z_half = gaussian_qmc(streams.z_stream, spec.n_v // 2, np.zeros(1), np.ones(1))[:, 0]
     z_sample = np.concatenate([z_half, -z_half])
     x_disc = box_points(prob.bounds, spec.n_x, seed=21)
-    scan = _FantasyScan(branin_state, x_disc, z_sample, sample, prob.bounds, prob.c, spec)
+    scan = _FantasyScan(
+        branin_state, x_disc, z_sample, sample, prob.bounds, prob.c, spec.use_log
+    )
     ys = box_points(prob.bounds, 512, seed=22)
     vals = scan.scan(ys)
     evaluations = len(vals)
@@ -289,18 +291,18 @@ def test_criterion_06_egra_closed_form():
 # -- 7: estimator self-consistency across tau ------------------------------
 
 
-def pn_terms(state, x, sample, bounds, smoothing, c):
+def pn_terms(state, x, sample, bounds, delta, c):
     """Per-sample contributions to the probability estimate (for SEs)."""
-    log_j = log_j_at(state, x + sample.points, bounds, smoothing, c)
+    log_j = log_j_at(state, x + sample.points, bounds, delta, c)
     return np.exp(sample.log_weights + log_j)
 
 
 def test_criterion_07_tau_self_consistency(quadratic_state, quadratic_problem):
     prob = quadratic_problem
-    smoothing = SmoothingConfig.for_box(prob.bounds)
+    delta = smoothing_width(prob.bounds)
     scout = draw_is_sample(prob.perturb, 3.0, 4096, SobolStream(2, scramble_seed=30))
     cands = box_points(prob.bounds, 256, seed=31)
-    log_p = estimate_pn_batch(quadratic_state, cands, scout, prob.bounds, smoothing, prob.c)
+    log_p = estimate_pn_batch(quadratic_state, cands, scout, prob.bounds, delta, prob.c)
     sel = cands[(log_p > np.log(1e-4)) & (log_p < np.log(1e-1))][:10]
     assert len(sel) == 10
 
@@ -308,8 +310,8 @@ def test_criterion_07_tau_self_consistency(quadratic_state, quadratic_problem):
     s1 = draw_is_sample(prob.perturb, 1.0, 2**16, SobolStream(2, scramble_seed=33))
     worst = 0.0
     for x in sel:
-        t3 = pn_terms(quadratic_state, x, s3, prob.bounds, smoothing, prob.c)
-        t1 = pn_terms(quadratic_state, x, s1, prob.bounds, smoothing, prob.c)
+        t3 = pn_terms(quadratic_state, x, s3, prob.bounds, delta, prob.c)
+        t1 = pn_terms(quadratic_state, x, s1, prob.bounds, delta, prob.c)
         diff = abs(t3.mean() - t1.mean())
         se = np.hypot(t3.std() / np.sqrt(len(t3)), t1.std() / np.sqrt(len(t1)))
         assert diff < 3 * se

@@ -37,9 +37,9 @@ from relbo.optimizers import multistart_qn
 from relbo.problems import Problem, get_problem, make_gp_problem
 from relbo.reliability import (
     PerturbationModel,
-    SmoothingConfig,
     draw_is_sample,
     smooth_feasibility,
+    smoothing_width,
 )
 from relbo.surrogate import GPHyperparams, fit_map, prior_state
 
@@ -117,6 +117,19 @@ class TestSpecAndStreams:
         with pytest.raises(ValueError, match=key):
             AcquisitionSpec("hc", **{key: value})
 
+    def test_ts_mr_restarts_within_perturbation_candidates(self):
+        # Stage 2 Boltzmann-selects its restarts from u = 0 and 64 + 64 draws.
+        assert AcquisitionSpec("ts_mr", n_restarts=129).n_restarts == 129
+        with pytest.raises(ValueError, match="n_restarts"):
+            AcquisitionSpec("ts_mr", n_raw=512, n_restarts=130)
+        assert AcquisitionSpec("ei", n_raw=512, n_restarts=130).n_restarts == 130
+
+    def test_direct_budget_below_three_rejected(self):
+        # Below 3 per dimension, DIRECT's budget is under its 2d + 1 minimum.
+        assert AcquisitionSpec("hc", direct_budget_per_dim=3).direct_budget_per_dim == 3
+        with pytest.raises(ValueError, match="direct_budget_per_dim"):
+            AcquisitionSpec("hc", direct_budget_per_dim=2)
+
     def test_zero_cascade_knobs_accepted(self):
         spec = AcquisitionSpec("hc", eps_s=0.0, delta_band=0.0)
         assert (spec.eps_s, spec.delta_band) == (0.0, 0.0)
@@ -172,7 +185,7 @@ class TestThompson:
 class TestDiscreteKG:
     def test_scan_matches_reference_route(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
         rng = np.random.default_rng(0)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         for _ in range(10):
@@ -195,26 +208,26 @@ class TestDiscreteKG:
         is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
         z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
         x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
-        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec)
+        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec.use_log)
         sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(16) * span
-        for smoothing in (scan.hard, SmoothingConfig.for_box(bounds, rho=spec.rho)):
+        for delta in (0.0, smoothing_width(bounds)):
             for y in sites:
-                grid = scan.log_p_at(y, smoothing)
+                grid = scan.log_p_at(y, delta)
                 argbest = np.argmin(grid, axis=1)
                 log_p, _, _ = _fantasy_log_p(
-                    state, y, z, x_disc[argbest], is_sample, bounds, smoothing, prob.c
+                    state, y, z, x_disc[argbest], is_sample, bounds, delta, prob.c
                 )
                 np.testing.assert_array_equal(log_p, grid[np.arange(len(z)), argbest])
 
     def test_no_gain_at_training_point(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
         val, _ = scan.value_at(state.train_inputs[3])
         assert -1e-3 <= val <= 1e-3
 
     def test_lemma_nonnegative_over_random_sites(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=31).take(100) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
@@ -225,7 +238,7 @@ class TestDiscreteKG:
         # With the per-fantasy best grid designs held fixed, the envelope
         # gradient is the gradient of the fantasy-averaged value at them.
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=43).take(8) * span
         checked = 0
@@ -237,7 +250,7 @@ class TestDiscreteKG:
 
             def averaged(site):
                 log_p, _, _ = _fantasy_log_p(
-                    state, site, z_sample, xs, is_sample, prob.bounds, scan.hard, prob.c
+                    state, site, z_sample, xs, is_sample, prob.bounds, 0.0, prob.c
                 )
                 return float(np.mean(_value_from_log_p(log_p, spec.use_log)))
 
@@ -258,7 +271,7 @@ class TestDiscreteKG:
         z_half = gaussian_qmc(streams.z_stream, 256, np.zeros(1), np.ones(1))[:, 0]
         z_anti = np.concatenate([z_half, -z_half])
         scan = _FantasyScan(
-            branin_state, x_disc, z_anti, is_sample, prob.bounds, prob.c, spec
+            branin_state, x_disc, z_anti, is_sample, prob.bounds, prob.c, spec.use_log
         )
         qmc_val, _ = scan.value_at(y)
 
@@ -267,7 +280,7 @@ class TestDiscreteKG:
         for _ in range(20):
             z_mc = rng.standard_normal(500)
             s = _FantasyScan(
-                branin_state, x_disc, z_mc, is_sample, prob.bounds, prob.c, spec
+                branin_state, x_disc, z_mc, is_sample, prob.bounds, prob.c, spec.use_log
             )
             batch_vals.append(s.value_at(y)[0])
         batch_vals = np.asarray(batch_vals)
@@ -297,7 +310,7 @@ class TestKeptRowScan:
         is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
         z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
         x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
-        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec)
+        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec.use_log)
         kept = np.count_nonzero(smooth_feasibility(scan.pts, bounds, 0.0) > 0.0)
         assert 0 < kept < len(scan.pts)
         sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(4) * span
@@ -314,9 +327,9 @@ class TestKeptRowScan:
             return out
 
         monkeypatch.setattr(acquisition, "_fantasy_marginal", spy)
-        for smoothing in (scan.hard, SmoothingConfig.for_box(scan.bounds)):
+        for delta in (0.0, smoothing_width(scan.bounds)):
             for y in sites:
-                scan.log_p_at(y, smoothing)
+                scan.log_p_at(y, delta)
         assert shapes == [(kept, len(scan.z))] * (2 * len(sites))
 
     def test_log_ndtr_reads_each_points_fantasies_together(self, monkeypatch):
@@ -341,7 +354,7 @@ class TestKeptRowScan:
 class TestOneShotKG:
     def test_joint_gradient_matches_fd(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        smoothing = SmoothingConfig.for_box(prob.bounds, rho=spec.rho)
+        delta = smoothing_width(prob.bounds)
         rng = np.random.default_rng(2)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         n_v = len(z_sample)
@@ -351,13 +364,13 @@ class TestOneShotKG:
                 size=2 * (1 + n_v)
             ) * joint_span
             val, grad = oneshot_objective(
-                state, joint, z_sample, is_sample, prob.bounds, smoothing, prob.c, True
+                state, joint, z_sample, is_sample, prob.bounds, delta, prob.c, True
             )
             if not np.isfinite(val):
                 continue
             err = fd_gradient_error(
                 lambda j: oneshot_objective(
-                    state, j, z_sample, is_sample, prob.bounds, smoothing, prob.c, True
+                    state, j, z_sample, is_sample, prob.bounds, delta, prob.c, True
                 )[0],
                 joint,
                 grad,
@@ -367,23 +380,22 @@ class TestOneShotKG:
 
     def test_oneshot_dominates_discrete_grid_value(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
         y = np.array([0.0, 6.0])
         disc_val, argbest = scan.value_at(y)
         # Seeded from the per-fantasy grid argmaxes, the continuous inner
         # maximization can only improve on the grid maximum (delta = 0 keeps
         # the two objectives identical).
-        hard = SmoothingConfig(0.0, spec.rho)
         joint0 = np.concatenate([y, x_disc[argbest].reshape(-1)])
         v0, _ = oneshot_objective(
-            state, joint0, z_sample, is_sample, prob.bounds, hard, prob.c, True
+            state, joint0, z_sample, is_sample, prob.bounds, 0.0, prob.c, True
         )
         assert abs((v0 - scan.baseline) - disc_val) < 1e-8
 
         joint_bounds = np.vstack([prob.bounds] * (1 + len(z_sample)))
         _, v_opt, _ = multistart_qn(
             lambda j: oneshot_objective(
-                state, j, z_sample, is_sample, prob.bounds, hard, prob.c, True
+                state, j, z_sample, is_sample, prob.bounds, 0.0, prob.c, True
             ),
             joint_bounds,
             [joint0],
@@ -395,7 +407,7 @@ class TestOneShotKG:
     def test_single_zero_fantasy_nonnegative(self, branin_setup):
         state, prob, spec, is_sample, _, x_disc = branin_setup
         scan = _FantasyScan(
-            state, x_disc, np.array([0.0]), is_sample, prob.bounds, prob.c, spec
+            state, x_disc, np.array([0.0]), is_sample, prob.bounds, prob.c, spec.use_log
         )
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=41).take(32) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
@@ -443,13 +455,13 @@ class TestOneShotKG:
         x_disc = prob.bounds[:, 0] + streams.x_stream.take(spec.n_x) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
-        scan = _FantasyScan(state, x_disc, z, is_sample, prob.bounds, prob.c, spec)
-        smoothing = SmoothingConfig.for_box(prob.bounds, rho=spec.rho)
-        keep = np.tile(x_disc[np.argmax(scan.grid_values(smoothing))], spec.n_v)
+        scan = _FantasyScan(state, x_disc, z, is_sample, prob.bounds, prob.c, spec.use_log)
+        delta = smoothing_width(prob.bounds)
+        keep = np.tile(x_disc[np.argmax(scan.grid_values(delta))], spec.n_v)
         (starts,) = searched
         for start in starts:
             at_start, at_keep = (
-                oneshot_objective(state, j, z, is_sample, prob.bounds, smoothing, prob.c, True)[0]
+                oneshot_objective(state, j, z, is_sample, prob.bounds, delta, prob.c, True)[0]
                 for j in (start, np.concatenate([start[:2], keep]))
             )
             assert at_start >= at_keep - 1e-9

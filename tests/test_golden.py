@@ -34,12 +34,12 @@ from relbo.harness import (
 from relbo.numerics import SobolStream, gaussian_qmc
 from relbo.problems import get_problem
 from relbo.reliability import (
-    SmoothingConfig,
     draw_is_sample,
     estimate_pn,
     estimate_pn_batch,
     estimate_ptilde,
     estimate_ptilde_batch,
+    smoothing_width,
 )
 from relbo.surrogate import fit_map
 
@@ -101,12 +101,11 @@ def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
     path = state.draw_rff_path(1024, seed=6)
     u_stream = SobolStream(2 * ((d + 1) // 2), scramble_seed=7)
     sample = draw_is_sample(prob.perturb, prob.default_tau, 32, u_stream)
-    smoothing = SmoothingConfig.for_box(bounds)
     xs = _box(bounds, 64, 8)
     z = gaussian_qmc(SobolStream(2, scramble_seed=9), 8, np.zeros(1), np.ones(1))[:, 0]
     spec = AcquisitionSpec("kg_mr_discrete", **SMALL)
-    scan = _FantasyScan(state, _box(bounds, 128, 10), z, sample, bounds, c, spec)
-    grid = (sample, bounds, smoothing, c)
+    scan = _FantasyScan(state, _box(bounds, 128, 10), z, sample, bounds, c, spec.use_log)
+    grid = (sample, bounds, smoothing_width(bounds), c)
     out = {
         "posterior": state.posterior(pts),
         "posterior_with_grad": state.posterior_with_grad(pts),
@@ -114,9 +113,9 @@ def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
         "rff.evaluate": (path.evaluate(pts),),
         "rff.evaluate_with_grad": path.evaluate_with_grad(pts),
         "estimate_pn": sum((estimate_pn(state, x, *grid) for x in xs[:4]), ()),
-        "estimate_ptilde": sum((estimate_ptilde(path, x, *grid) for x in xs[:4]), ()),
+        "estimate_ptilde": sum((estimate_ptilde(path, x, *grid, spec.rho) for x in xs[:4]), ()),
         "estimate_pn_batch": (estimate_pn_batch(state, xs, *grid),),
-        "estimate_ptilde_batch": (estimate_ptilde_batch(path, xs, *grid),),
+        "estimate_ptilde_batch": (estimate_ptilde_batch(path, xs, *grid, spec.rho),),
         "fantasy_scan": (scan.scan(xs[:8]),),
         "oneshot_objective": oneshot_objective(
             state, np.concatenate([y, xs[:8].ravel()]), z, *grid, True

@@ -157,6 +157,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_restarts 17 exceeds the 16"):
             load_config(config_with(tmp_path, "acquisition", "n_raw", 16, n_restarts=17))
 
+    def test_ts_mr_restarts_beyond_perturbation_candidates_rejected(self, tmp_path):
+        # The stage 1 scan has 512 candidates, stage 2 only 129.
+        load_config(config_with(tmp_path, "acquisition", "kind", "ts_mr", n_raw=512,
+                                n_restarts=129))
+        with pytest.raises(ValueError, match="n_restarts"):
+            load_config(config_with(tmp_path, "acquisition", "kind", "ts_mr", n_raw=512,
+                                    n_restarts=130))
+
     def test_rec_restarts_beyond_candidate_scan_rejected(self, tmp_path):
         load_config(config_with(tmp_path, "recommendation", "restarts", 1024))
         with pytest.raises(ValueError, match="rec_restarts 1025 exceeds the 1024"):
@@ -183,8 +191,8 @@ class TestConfig:
         "key, value", [("rho", 0), ("kappa", -1), ("eps_s", -0.5), ("delta_band", -0.1)]
     )
     def test_bad_smoothing_and_cascade_knobs_rejected(self, tmp_path, key, value):
-        # rho = 0 would otherwise load, write the initial design and only fail
-        # inside SmoothingConfig at the first acquisition.
+        # rho = 0 would otherwise load, write the initial design and only
+        # divide by zero in Phi((path - c) / rho) at the first acquisition.
         with pytest.raises(ValueError, match=key):
             load_config(config_with(tmp_path, "acquisition", key, value))
 

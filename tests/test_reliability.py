@@ -16,7 +16,6 @@ from relbo.problems import get_problem
 from relbo.reliability import (
     ISSample,
     PerturbationModel,
-    SmoothingConfig,
     draw_is_sample,
     estimate_pn,
     estimate_pn_batch,
@@ -28,6 +27,7 @@ from relbo.reliability import (
     log_mean_wj,
     perturbed_grid,
     smooth_feasibility,
+    smoothing_width,
 )
 from relbo.surrogate import GPHyperparams, RFFPath, SurrogateState, prior_state
 
@@ -138,6 +138,15 @@ class TestSmoothFeasibility:
         with pytest.raises(ValueError):
             smooth_feasibility(np.array([[0.5]]), np.array([[1.0, 1.0]]), 0.1)
 
+    @pytest.mark.parametrize("delta", [-0.1, np.nan])
+    def test_negative_or_nan_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            smooth_feasibility(np.array([[0.5, 0.5]]), UNIT_BOX, delta)
+
+    def test_smoothing_width(self):
+        assert smoothing_width(UNIT_BOX) == 0.05
+        assert smoothing_width(np.array([[0.0, 2.0], [-1.0, 1.5]])) == 0.1
+
     def test_ramp_edges_match_masked_formula(self):
         def masked(z):  # the ramp as three masked passes over z
             out = np.empty_like(z)
@@ -167,7 +176,7 @@ def flat_state(mean_value, sd=1.0, bounds=UNIT_BOX):
 def log_phi_at(state, y, c):
     """log Phi of the posterior failure probability at the interior point
     ``y``, where the hard box indicator is 1 and J = Phi."""
-    return float(log_j_at(state, y, UNIT_BOX, SmoothingConfig(0.0), c)[0])
+    return float(log_j_at(state, y, UNIT_BOX, 0.0, c)[0])
 
 
 class TestPhiN:
@@ -188,24 +197,23 @@ class TestPhiN:
         assert abs(log_p - (-454.32)) < 0.01
 
 
-def assert_batch_equals_loop(model, batch_fn, loop_fn, prob):
+def assert_batch_equals_loop(model, batch_fn, loop_fn, prob, *rho):
     """A source's batch estimate against looping its single-design form: the
     batch form scans log P without gradients, evaluating the source only
     where the box indicator is positive; the single-design form takes the
-    gradient route over every point."""
+    gradient route over every point. A path source also takes ``rho``."""
     sample = draw_is_sample(prob.perturb, 3.0, 64, u_stream(2, seed=10))
-    smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.5)
     xs = prob.bounds[:, 0] + SobolStream(2, scramble_seed=11).take(16) * (
         prob.bounds[:, 1] - prob.bounds[:, 0]
     )
-    args = (sample, prob.bounds, smoothing, prob.c)
+    args = (sample, prob.bounds, smoothing_width(prob.bounds), prob.c, *rho)
     loop = np.array([loop_fn(model, x, *args)[0] for x in xs])
     np.testing.assert_allclose(batch_fn(model, xs, *args), loop, atol=1e-10)
 
 
 class TestEstimatePn:
-    def smoothing(self):
-        return SmoothingConfig.for_box(UNIT_BOX)
+    def delta(self):
+        return smoothing_width(UNIT_BOX)
 
     def sample(self, sigma=0.05, n=256, tau=3.0, seed=0):
         return draw_is_sample(PerturbationModel(np.full(2, sigma)), tau, n, u_stream(2, seed))
@@ -213,17 +221,14 @@ class TestEstimatePn:
     def test_reliable_region_gives_tiny_p(self):
         state = flat_state(-10.0, sd=1.0)  # mean 10 sigma below c = 0
         log_p, _ = estimate_pn(
-            state, np.array([0.5, 0.5]), self.sample(), UNIT_BOX, self.smoothing(), 0.0
+            state, np.array([0.5, 0.5]), self.sample(), UNIT_BOX, self.delta(), 0.0
         )
         assert np.exp(log_p) < 1e-10
         assert -log_p > 23.0
 
     def test_exterior_mass_saturates_to_one(self):
         state = flat_state(-10.0, sd=1.0)
-        smoothing = SmoothingConfig(1e-6)
-        log_p, _ = estimate_pn(
-            state, np.array([3.0, 3.0]), self.sample(), UNIT_BOX, smoothing, 0.0
-        )
+        log_p, _ = estimate_pn(state, np.array([3.0, 3.0]), self.sample(), UNIT_BOX, 1e-6, 0.0)
         # All perturbed points fall outside the box: J = 1 for each of them,
         # so the estimate is the mean importance weight (close to 1).
         assert abs(np.exp(log_p) - np.mean(np.exp(self.sample().log_weights))) < 1e-9
@@ -231,18 +236,18 @@ class TestEstimatePn:
     def test_gradient_matches_fd_on_branin_surrogate(self, branin_state, branin_problem):
         prob = branin_problem
         sample = draw_is_sample(prob.perturb, 3.0, 128, u_stream(2, seed=5))
-        smoothing = SmoothingConfig.for_box(prob.bounds)
+        delta = smoothing_width(prob.bounds)
         rng = np.random.default_rng(7)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         checked = 0
         for _ in range(30):
             x = prob.bounds[:, 0] + rng.uniform(size=2) * span
-            log_p, grad = estimate_pn(branin_state, x, sample, prob.bounds, smoothing, prob.c)
+            log_p, grad = estimate_pn(branin_state, x, sample, prob.bounds, delta, prob.c)
             if not np.isfinite(log_p):
                 continue
             err = fd_gradient_error(
                 lambda p: estimate_pn_batch(
-                    branin_state, p[None, :], sample, prob.bounds, smoothing, prob.c
+                    branin_state, p[None, :], sample, prob.bounds, delta, prob.c
                 )[0],
                 x,
                 grad,
@@ -255,10 +260,10 @@ class TestEstimatePn:
     def test_monotone_in_threshold(self, branin_state, branin_problem):
         prob = branin_problem
         sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(2, seed=6))
-        smoothing = SmoothingConfig.for_box(prob.bounds)
+        delta = smoothing_width(prob.bounds)
         x = np.array([2.0, 7.0])
         log_ps = [
-            estimate_pn_batch(branin_state, x[None, :], sample, prob.bounds, smoothing, c)[0]
+            estimate_pn_batch(branin_state, x[None, :], sample, prob.bounds, delta, c)[0]
             for c in (20.0, 60.0, 120.0)
         ]
         assert log_ps[0] >= log_ps[1] >= log_ps[2]
@@ -277,24 +282,24 @@ class TestEstimatePn:
         delta = min(0.5 * float(interior.min()), 0.05)
         assert delta > 0
         a, b = (
-            estimate_pn_batch(branin_state, x[None, :], sample, prob.bounds, sm, prob.c)[0]
-            for sm in (SmoothingConfig(delta), SmoothingConfig(0.0))
+            estimate_pn_batch(branin_state, x[None, :], sample, prob.bounds, dl, prob.c)[0]
+            for dl in (delta, 0.0)
         )
         assert abs(a - b) < 1e-9
 
     def test_tau_invariance(self, quadratic_state, quadratic_problem):
         prob = quadratic_problem
-        smoothing = SmoothingConfig.for_box(prob.bounds)
+        delta = smoothing_width(prob.bounds)
         x = np.array([0.45, 0.45])
         stats = {}
         for tau in (1.0, 2.0, 3.0):
             sample = draw_is_sample(prob.perturb, tau, 2**16, u_stream(2, seed=9))
             log_p = estimate_pn_batch(
-                quadratic_state, x[None, :], sample, prob.bounds, smoothing, prob.c
+                quadratic_state, x[None, :], sample, prob.bounds, delta, prob.c
             )[0]
             # Empirical standard error of the weighted mean of J-terms.
             log_j = log_j_at(
-                quadratic_state, x + sample.points, prob.bounds, smoothing, prob.c
+                quadratic_state, x + sample.points, prob.bounds, delta, prob.c
             )
             terms = np.exp(sample.log_weights + log_j)
             stats[tau] = (np.exp(log_p), terms.std() / np.sqrt(len(terms)))
@@ -309,7 +314,7 @@ class TestEstimatePn:
         state = flat_state(0.0, sd=1.0)
         sample = self.sample(sigma=0.01)
         log_p, grad = estimate_pn(
-            state, np.array([0.5, 0.5]), sample, UNIT_BOX, self.smoothing(), np.inf
+            state, np.array([0.5, 0.5]), sample, UNIT_BOX, self.delta(), np.inf
         )
         assert log_p == -np.inf
         assert not np.any(np.isnan(grad))
@@ -328,12 +333,12 @@ class TestEstimatePn:
         mean, var = st.posterior(X)
         assert np.all(var == st.variance_floor)
         c = np.sort(mean)[6] - 0.5 * np.sqrt(st.variance_floor)
-        smoothing = SmoothingConfig(0.3)  # 0 < iota < 1 at several inputs
-        iota, diota = _feasibility_parts(X, bounds, smoothing.delta, want_grad=True)
+        delta = 0.3  # 0 < iota < 1 at several inputs
+        iota, diota = _feasibility_parts(X, bounds, delta, want_grad=True)
         assert np.any((iota > 0.0) & (iota < 1.0) & (mean < c))
         assert np.any((iota > 0.0) & (iota < 1.0) & (mean >= c))
         origin = ISSample(np.zeros((1, 2)), np.zeros(1))
-        ests = [estimate_pn(st, x, origin, bounds, smoothing, c) for x in X]
+        ests = [estimate_pn(st, x, origin, bounds, delta, c) for x in X]
         log_j = np.array([log_p for log_p, _ in ests])
         dlog_j = np.array([grad for _, grad in ests])
         above = mean >= c
@@ -348,7 +353,7 @@ class TestEstimatePn:
         )
         assert np.all(dlog_j[~above & (iota == 1.0)] == 0.0)
         # The masked scan without gradients gives the same log J.
-        np.testing.assert_array_equal(log_j_at(st, X, bounds, smoothing, c), log_j)
+        np.testing.assert_array_equal(log_j_at(st, X, bounds, delta, c), log_j)
 
 
 def recording_posterior(monkeypatch):
@@ -370,24 +375,24 @@ class TestValueOnlyScan:
         sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(prob.dim, seed=4))
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         xs = prob.bounds[:, 0] + shift * span + SobolStream(prob.dim, scramble_seed=5).take(8) * span
-        return xs, sample, SmoothingConfig.for_box(prob.bounds)
+        return xs, sample, smoothing_width(prob.bounds)
 
     def test_posterior_sees_exactly_the_kept_rows(self, branin_state, branin_problem, monkeypatch):
         prob = branin_problem
-        xs, sample, smoothing = self.grid(prob, 0.0)
+        xs, sample, delta = self.grid(prob, 0.0)
         pts = perturbed_grid(xs, sample)
-        kept = pts[smooth_feasibility(pts, prob.bounds, smoothing.delta) > 0.0]
+        kept = pts[smooth_feasibility(pts, prob.bounds, delta) > 0.0]
         assert 0 < len(kept) < len(pts)
         calls = recording_posterior(monkeypatch)
-        estimate_pn_batch(branin_state, xs, sample, prob.bounds, smoothing, prob.c)
+        estimate_pn_batch(branin_state, xs, sample, prob.bounds, delta, prob.c)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], kept)
 
     def test_all_points_outside_the_box(self, branin_state, branin_problem, monkeypatch):
         prob = branin_problem
-        xs, sample, smoothing = self.grid(prob, 50.0)
+        xs, sample, delta = self.grid(prob, 50.0)
         calls = recording_posterior(monkeypatch)
-        log_p = estimate_pn_batch(branin_state, xs, sample, prob.bounds, smoothing, prob.c)
+        log_p = estimate_pn_batch(branin_state, xs, sample, prob.bounds, delta, prob.c)
         assert all(len(points) == 0 for points in calls)
         log_mean_w, _ = log_mean_wj(sample.log_weights, np.zeros(len(sample)))
         np.testing.assert_array_equal(log_p, np.full(len(xs), log_mean_w))
@@ -401,9 +406,9 @@ class TestValueOnlyScan:
         # does not depend on the rows evaluated with it.
         monkeypatch.setattr(numerics, "ELEMENT_BUDGET", budget)  # 2^10: many blocks
         for st, prob in ((branin_state, branin_problem), (hartmann_state, get_problem("hartmann-6d"))):
-            xs, sample, smoothing = self.grid(prob, 0.0)
+            xs, sample, delta = self.grid(prob, 0.0)
             pts = perturbed_grid(xs, sample)
-            sel = smooth_feasibility(pts, prob.bounds, smoothing.delta) > 0.0
+            sel = smooth_feasibility(pts, prob.bounds, delta) > 0.0
             assert 0 < np.count_nonzero(sel) < len(pts)
             for whole, kept in zip(st.posterior(pts), st.posterior(pts[sel]), strict=True):
                 assert whole[sel].tobytes() == kept.tobytes()
@@ -442,7 +447,7 @@ class TestLogMeanWj:
         sample = draw_is_sample(prob.perturb, 3.0, 256, u_stream(2, seed=3))
         x = np.array([[2.5, 7.5]])
         log_j = log_j_at(
-            branin_state, perturbed_grid(x, sample), prob.bounds, SmoothingConfig(0.5), prob.c
+            branin_state, perturbed_grid(x, sample), prob.bounds, 0.5, prob.c
         )
         got, _ = log_mean_wj(sample.log_weights, log_j)
         assert np.ndim(got) == 0
@@ -454,16 +459,18 @@ class TestEstimatePtilde:
         prob = branin_problem
         path = branin_state.draw_rff_path(512, seed=0)
         sample = draw_is_sample(prob.perturb, 3.0, 128, u_stream(2, seed=12))
-        smoothing = SmoothingConfig.for_box(prob.bounds, rho=1e-6)
+        delta = smoothing_width(prob.bounds)
         # Threshold far below the function range: every point fails.
         log_p = estimate_ptilde_batch(
-            path, np.array([[2.0, 7.0]]), sample, prob.bounds, smoothing, c=-1e6
+            path, np.array([[2.0, 7.0]]), sample, prob.bounds, delta, c=-1e6, rho=1e-6
         )[0]
         assert abs(np.exp(log_p) - np.mean(np.exp(sample.log_weights))) < 1e-6
 
     def test_batch_equals_loop(self, branin_state, branin_problem):
         path = branin_state.draw_rff_path(512, seed=2)
-        assert_batch_equals_loop(path, estimate_ptilde_batch, estimate_ptilde, branin_problem)
+        assert_batch_equals_loop(
+            path, estimate_ptilde_batch, estimate_ptilde, branin_problem, 0.5
+        )
 
     @pytest.mark.parametrize("name", ["branin-2d", "hartmann-6d"])
     def test_fixed_perturbations_match_per_call(self, branin_state, hartmann_state, name):
@@ -472,8 +479,7 @@ class TestEstimatePtilde:
         path = state.draw_rff_path(1024, seed=3)
         sample = draw_is_sample(prob.perturb, 3.0, 64, u_stream(prob.dim, seed=15))
         fixed = path.fix_perturbations(sample.points)
-        smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.01)
-        args = (sample, prob.bounds, smoothing, prob.c)
+        args = (sample, prob.bounds, smoothing_width(prob.bounds), prob.c, 0.01)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         xs = prob.bounds[:, 0] + SobolStream(prob.dim, scramble_seed=16).take(8) * span
         for x in xs:
@@ -487,11 +493,11 @@ class TestEstimatePtilde:
         path = branin_state.draw_rff_path(512, seed=5)
         first = draw_is_sample(prob.perturb, 3.0, 64, u_stream(2, seed=17))
         second = draw_is_sample(prob.perturb, 3.0, 64, u_stream(2, seed=18))
-        smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.5)
+        delta = smoothing_width(prob.bounds)
         x = np.array([2.5, 7.5])
 
         def est(model, sample):
-            return estimate_ptilde(model, x, sample, prob.bounds, smoothing, prob.c)
+            return estimate_ptilde(model, x, sample, prob.bounds, delta, prob.c, 0.5)
 
         fixed = path.fix_perturbations(first.points)
         assert est(fixed, first)[0] != est(path, second)[0]
@@ -528,18 +534,18 @@ class TestEstimatePtilde:
         prob = branin_problem
         path = branin_state.draw_rff_path(512, seed=1)
         sample = draw_is_sample(prob.perturb, 3.0, 128, u_stream(2, seed=13))
-        smoothing = SmoothingConfig.for_box(prob.bounds, rho=0.5)
+        delta = smoothing_width(prob.bounds)
         rng = np.random.default_rng(14)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         checked = 0
         for _ in range(30):
             x = prob.bounds[:, 0] + rng.uniform(size=2) * span
-            log_p, grad = estimate_ptilde(path, x, sample, prob.bounds, smoothing, prob.c)
+            log_p, grad = estimate_ptilde(path, x, sample, prob.bounds, delta, prob.c, 0.5)
             if not np.isfinite(log_p):
                 continue
             err = fd_gradient_error(
                 lambda p: estimate_ptilde_batch(
-                    path, p[None, :], sample, prob.bounds, smoothing, prob.c
+                    path, p[None, :], sample, prob.bounds, delta, prob.c, 0.5
                 )[0],
                 x,
                 grad,

@@ -11,7 +11,7 @@ import relbo.numerics as numerics
 from conftest import fantasy_marginal, fd_gradient_error
 from relbo.acquisition import _fantasy_log_p
 from relbo.numerics import SobolStream
-from relbo.reliability import ISSample, SmoothingConfig
+from relbo.reliability import ISSample
 from relbo.surrogate import (
     NOISE_VARIANCE,
     GPHyperparams,
@@ -363,8 +363,7 @@ class TestFusedPass:
         u = np.vstack([np.zeros((1, 2)), 0.05 * SobolStream(2, scramble_seed=3).take(7) - 0.025])
         sample = ISSample(u, np.zeros(8))
         xs, z = st.train_inputs[:4], np.array([-1.0, -0.2, 0.4, 1.3])
-        args = (st, np.array([0.52, 0.47]), z, xs, sample, [[0, 1], [0, 1]],
-                SmoothingConfig(0.05), 0.4)
+        args = (st, np.array([0.52, 0.47]), z, xs, sample, [[0, 1], [0, 1]], 0.05, 0.4)
         fused = _fantasy_log_p(*args)
         monkeypatch.setattr(SurrogateState, "cross_cov_with_grad", two_pass_cross_cov)
         for got, want in zip(fused, _fantasy_log_p(*args), strict=True):
