@@ -21,6 +21,7 @@ import numpy as np
 from .numerics import (
     SobolStream,
     gaussian_qmc,
+    gaussian_stream_dim,
     std_normal_cdf,
     std_normal_log_cdf,
     std_normal_log_pdf,
@@ -40,8 +41,6 @@ from .surrogate import SurrogateState
 
 log = logging.getLogger(__name__)
 
-# Boundary for clamping standardized deviations so log CDFs stay finite.
-_H_CLAMP = 37.0
 # ts_mr's stage 2 draws this many perturbation candidates from N(0, Sigma_u)
 # and as many uniformly in the box, besides u = 0.
 _U_DRAW = 64
@@ -107,9 +106,8 @@ class IterationStreams:
     def from_seed(cls, seed: int, dim: int) -> "IterationStreams":
         children = np.random.SeedSequence(seed).spawn(5)
         s = [int(c.generate_state(1)[0]) for c in children]
-        u_dim = 2 * ((dim + 1) // 2)
         return cls(
-            u_stream=SobolStream(u_dim, scramble_seed=s[0]),
+            u_stream=SobolStream(gaussian_stream_dim(dim), scramble_seed=s[0]),
             z_stream=SobolStream(2, scramble_seed=s[1]),
             x_stream=SobolStream(dim, scramble_seed=s[2]),
             path_seed=s[3],
@@ -162,16 +160,10 @@ def _scale_to_box(unit_pts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bounds[:, 0] + unit_pts * (bounds[:, 1] - bounds[:, 0])
 
 
-def _clamp_h(h):
-    """h clipped to +-_H_CLAMP, and where it was clipped: there a value in h
-    is flat, so its gradient is zero."""
-    return np.clip(h, -_H_CLAMP, _H_CLAMP), np.abs(h) > _H_CLAMP
-
-
 def _phi_ratio(log_pdf, log_cdf):
-    """phi(h)/Phi(h) (or the complement) computed stably via log values."""
-    out = np.asarray(log_pdf - log_cdf, float)
-    return np.exp(np.clip(out, None, 700.0))
+    """phi(h)/Phi(h) (or the complement) computed stably via log values: the
+    log ratio grows only like log|h| in the tail, so exp cannot overflow."""
+    return np.exp(log_pdf - log_cdf)
 
 
 def _raw_candidates(ctx: AcqContext):
@@ -249,7 +241,7 @@ def ts_mr_next(ctx: AcqContext):
 
     def u_score(us, want_grad):
         mean, sd, dmean, dsd = _marginal_sd(state, x_next + us, want_grad)
-        h, clamped = _clamp_h((mean - problem.c) / sd)
+        h = (mean - problem.c) / sd
         lp = std_normal_log_pdf(h)
         lphi = std_normal_log_cdf(h)
         lcphi = std_normal_log_cdf(-h)
@@ -257,10 +249,10 @@ def ts_mr_next(ctx: AcqContext):
         if not want_grad:
             return val, None
         dh = (dmean - h[:, None] * dsd) / sd[:, None]
-        ratio = np.where(clamped, 0.0, _phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi))
+        ratio = _phi_ratio(lp, lphi) - _phi_ratio(lp, lcphi)
         return val, -us / sigmas**2 + ratio[:, None] * dh
 
-    u_qmc = gaussian_qmc(streams.u_stream, _U_DRAW, np.zeros(d), sigmas)[:, :d]
+    u_qmc = gaussian_qmc(streams.u_stream, _U_DRAW, sigmas)
     u_cands = np.vstack([
         np.zeros((1, d)),
         np.clip(u_qmc, u_bounds[:, 0], u_bounds[:, 1]),
@@ -460,7 +452,7 @@ def _kg_scan(ctx: AcqContext):
     problem, spec, streams = ctx.problem, ctx.spec, ctx.streams
     bounds = problem.bounds
     is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
-    z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+    z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
     x_disc = _scale_to_box(streams.x_stream.take(spec.n_x), bounds)
     scan = _FantasyScan(ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, spec.use_log)
     cands = _raw_candidates(ctx)
@@ -542,12 +534,12 @@ def hc_next(ctx: AcqContext):
 
     def log_alpha_f(ys, want_grad):
         mean, sd, dmean, dsd = _marginal_sd(state, ys, want_grad)
-        h, clamped = _clamp_h((c - mean) / sd)
+        h = (c - mean) / sd
         lphi = std_normal_log_cdf(h)
         if not want_grad:
             return lphi, None
         dh = (-dmean - h[:, None] * dsd) / sd[:, None]
-        ratio = np.where(clamped, 0.0, _phi_ratio(std_normal_log_pdf(h), lphi))
+        ratio = _phi_ratio(std_normal_log_pdf(h), lphi)
         return lphi, ratio[:, None] * dh
 
     if not np.any(feasible):

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from .acquisition import AcqContext, AcquisitionSpec, IterationStreams, next_point
-from .numerics import SobolStream
+from .numerics import SobolStream, gaussian_stream_dim
 from .optimizers import boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
 from .reliability import (
@@ -212,7 +212,7 @@ def recommend(
     if tau is None:
         tau = problem.default_tau
     delta = smoothing_width(bounds)
-    u_stream = SobolStream(2 * ((d + 1) // 2), scramble_seed=_child_seed(seed, 1))
+    u_stream = SobolStream(gaussian_stream_dim(d), scramble_seed=_child_seed(seed, 1))
     sample = draw_is_sample(problem.perturb, tau, n_u_coarse, u_stream)
     cands = bounds[:, 0] + SobolStream(d, scramble_seed=_child_seed(seed, 2)).take(
         REC_CANDIDATES
@@ -235,9 +235,7 @@ def recommend(
 
     x_best, val, _ = polish(sample, starts)
     if d > 2:
-        fine_stream = SobolStream(
-            2 * ((d + 1) // 2), scramble_seed=_child_seed(seed, 4)
-        )
+        fine_stream = SobolStream(gaussian_stream_dim(d), scramble_seed=_child_seed(seed, 4))
         fine_sample = draw_is_sample(problem.perturb, tau, n_u_fine, fine_stream)
         x_best, val, _ = polish(fine_sample, [x_best], max_iters=50)
     return x_best, float(np.exp(val))

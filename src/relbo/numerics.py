@@ -95,32 +95,30 @@ def box_muller(uniforms: np.ndarray) -> np.ndarray:
     return z
 
 
-def gaussian_qmc(
-    stream: SobolStream,
-    count: int,
-    mean: np.ndarray,
-    scale_diag: np.ndarray,
-) -> np.ndarray:
-    """``count`` qMC Gaussian draws with diagonal scale, shape (count, d).
+def gaussian_stream_dim(d: int) -> int:
+    """The Sobol' dimension Box-Muller needs for d Gaussian coordinates: it
+    consumes the coordinates in pairs."""
+    return 2 * ((d + 1) // 2)
+
+
+def gaussian_qmc(stream: SobolStream, count: int, scale_diag: np.ndarray) -> np.ndarray:
+    """``count`` zero-mean qMC Gaussian draws with diagonal scale, shape
+    (count, d).
 
     Consumes Sobol' coordinates pairwise through Box-Muller; the stream must
-    have dimension >= 2*ceil(d/2).
+    have dimension >= ``gaussian_stream_dim(d)``.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
     scale_diag = np.atleast_1d(np.asarray(scale_diag, dtype=float))
-    d = mean.shape[0]
-    if scale_diag.shape[0] != d:
-        raise ValueError("mean and scale_diag must have the same length")
+    d = scale_diag.shape[0]
     if np.any(scale_diag <= 0):
         raise ValueError("scale_diag must be strictly positive")
-    needed = 2 * ((d + 1) // 2)
+    needed = gaussian_stream_dim(d)
     if stream.dimension < needed:
         raise ValueError(
             f"stream dimension {stream.dimension} < {needed} required for d={d}"
         )
     u = stream.take(count)[:, :needed]
-    z = box_muller(u)[:, :d]
-    return mean + scale_diag * z
+    return scale_diag * box_muller(u)[:, :d]
 
 
 def in_blocks(fn, rows: np.ndarray, width: int):

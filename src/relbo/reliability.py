@@ -23,6 +23,7 @@ from scipy.special import gammainc
 from .numerics import (
     SobolStream,
     gaussian_qmc,
+    gaussian_stream_dim,
     in_blocks,
     std_normal_log_cdf,
     std_normal_log_pdf,
@@ -74,7 +75,7 @@ def draw_is_sample(
         raise ValueError("tau must be >= 1")
     if n_u & (n_u - 1):
         raise ValueError("n_u must be a power of two")
-    u = gaussian_qmc(stream, n_u, np.zeros(perturb.dim), tau * perturb.sigmas)
+    u = gaussian_qmc(stream, n_u, tau * perturb.sigmas)
     z = u / perturb.sigmas
     # log p(u) - log q(u) for the diagonal Gaussian pair
     log_w = perturb.dim * np.log(tau) + 0.5 * np.sum(z**2, axis=1) * (1.0 / tau**2 - 1.0)
@@ -231,8 +232,7 @@ def _log_p(marginal_at, floor, c, pts, is_sample, bounds, delta, want_grad):
     log_j = log_phi
     if want_grad or delta > 0.0:  # else the kept iota are all 1
         with np.errstate(divide="ignore"):
-            log_iota = np.where(iota > 0.0, np.log(np.maximum(iota, 1e-300)), -np.inf)
-            log_ciota = np.where(iota < 1.0, np.log1p(-np.minimum(iota, 1.0 - 1e-17)), -np.inf)
+            log_iota, log_ciota = np.log(iota), np.log1p(-iota)
         log_j = np.logaddexp(log_phi + log_iota, log_ciota)
     if not want_grad:
         out = np.zeros((*h.shape[:-1], len(sel)))
@@ -241,18 +241,16 @@ def _log_p(marginal_at, floor, c, pts, is_sample, bounds, delta, want_grad):
         del h, deg, log_phi, log_j, iota, sel
         log_iota = log_ciota = None
         return log_mean_wj(is_sample.log_weights, out.reshape(*out.shape[:-1], -1, n_u))[0], None
-    pdf_log = std_normal_log_pdf(h)
-    with np.errstate(invalid="ignore"):
+    # log J is -inf only where iota = 1 and Phi(h) = 0, and there both ratios
+    # are zero. Wherever iota < 1, J >= 1 - iota >= 1.1e-16, so dividing by J
+    # is safe exactly where ratio_iota is kept.
+    with np.errstate(all="ignore"):
         ratio_h = np.where(
-            np.isfinite(log_phi + log_iota),
-            np.exp(np.where(np.isfinite(log_iota), log_iota, 0.0) + pdf_log - log_j),
-            0.0,
+            np.isfinite(log_j), np.exp(log_iota + std_normal_log_pdf(h) - log_j), 0.0
         )
-    ratio_h = np.nan_to_num(ratio_h, nan=0.0)
+        ratio_iota = np.where(iota < 1.0, (np.exp(log_phi) - 1.0) / np.exp(log_j), 0.0)
     if np.any(deg):
         ratio_h = np.where(deg, 0.0, ratio_h)
-    j_safe = np.exp(np.maximum(log_j, -700.0))
-    ratio_iota = np.where(iota < 1.0, (np.exp(log_phi) - 1.0) / j_safe, 0.0)
     dlog_j = ratio_h[:, None] * dh
     dlog_j[:, : diota.shape[1]] += ratio_iota[:, None] * diota
     return log_mean_wj(
@@ -346,7 +344,7 @@ def evaluate_true_failure(
     perturb = problem.perturb
     if tau is None:
         tau = problem.default_tau
-    stream = SobolStream(2 * ((perturb.dim + 1) // 2), scramble_seed=seed)
+    stream = SobolStream(gaussian_stream_dim(perturb.dim), scramble_seed=seed)
     sample = draw_is_sample(perturb, tau, n_u, stream)
     x = np.asarray(x, float)
     y_pts = x + sample.points

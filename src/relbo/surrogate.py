@@ -496,7 +496,9 @@ def fit_map(inputs, targets, bounds, seed=0) -> SurrogateState:
     Inputs are normalized to [0,1]^d by the box ``bounds`` and outputs
     standardized before fitting. Multi-start bounded quasi-Newton in
     log-hyperparameter space, with ``MAP_RESTARTS`` restarts drawn from the
-    priors; duplicate inputs trigger jitter escalation before failing.
+    priors. A start whose Cholesky factorization fails is abandoned; when no
+    start survives, the fit is retried with diagonal jitter 1e-8, 1e-6 and
+    1e-4 before failing.
     """
     inputs = np.atleast_2d(np.asarray(inputs, float))
     targets = np.atleast_1d(np.asarray(targets, float))
@@ -542,7 +544,7 @@ def fit_map(inputs, targets, bounds, seed=0) -> SurrogateState:
                 float(np.exp(theta[0])), np.exp(theta[1 : 1 + d]), float(theta[1 + d])
             )
             return SurrogateState(inputs, targets, tr, hp, jitter=jitter)
-        except np.linalg.LinAlgError as err:
+        except (np.linalg.LinAlgError, RuntimeError) as err:  # RuntimeError: no start survived
             last_err = err
             continue
     raise RuntimeError(f"GP fit failed even with jitter escalation: {last_err}")

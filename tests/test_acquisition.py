@@ -7,6 +7,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 import relbo.acquisition as acquisition
 import relbo.reliability as reliability
@@ -32,7 +33,7 @@ from relbo.acquisition import (
     ts_mr_next,
 )
 from relbo.harness import _child_seed, initial_design
-from relbo.numerics import SobolStream, gaussian_qmc
+from relbo.numerics import SobolStream, gaussian_qmc, gaussian_stream_dim
 from relbo.optimizers import multistart_qn
 from relbo.problems import Problem, get_problem, make_gp_problem
 from relbo.reliability import (
@@ -53,7 +54,7 @@ def small_spec(kind, **overrides):
 
 
 def u_stream(d, seed=0):
-    return SobolStream(2 * ((d + 1) // 2), scramble_seed=seed)
+    return SobolStream(gaussian_stream_dim(d), scramble_seed=seed)
 
 
 def context(state, problem, spec, seed, history=None, sobol_seed=0):
@@ -82,7 +83,7 @@ def branin_setup(branin_state, branin_problem):
     is_sample = draw_is_sample(
         branin_problem.perturb, spec.tau, spec.n_u, streams.u_stream
     )
-    z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+    z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
     x_disc = branin_problem.bounds[:, 0] + streams.x_stream.take(spec.n_x) * (
         branin_problem.bounds[:, 1] - branin_problem.bounds[:, 0]
     )
@@ -206,7 +207,7 @@ class TestDiscreteKG:
         spec = small_spec("kg_mr_discrete", n_u=64, n_v=32, n_x=512)
         streams = IterationStreams.from_seed(11, prob.dim)
         is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
-        z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+        z = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
         x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
         scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec.use_log)
         sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(16) * span
@@ -268,7 +269,7 @@ class TestDiscreteKG:
         )
         y = np.array([1.0, 4.0])
 
-        z_half = gaussian_qmc(streams.z_stream, 256, np.zeros(1), np.ones(1))[:, 0]
+        z_half = gaussian_qmc(streams.z_stream, 256, np.ones(1))[:, 0]
         z_anti = np.concatenate([z_half, -z_half])
         scan = _FantasyScan(
             branin_state, x_disc, z_anti, is_sample, prob.bounds, prob.c, spec.use_log
@@ -308,7 +309,7 @@ class TestKeptRowScan:
         spec = small_spec("kg_mr_discrete")
         streams = IterationStreams.from_seed(11, prob.dim)
         is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
-        z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+        z = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
         x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
         scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec.use_log)
         kept = np.count_nonzero(smooth_feasibility(scan.pts, bounds, 0.0) > 0.0)
@@ -451,7 +452,7 @@ class TestOneShotKG:
         # under the smoothing it runs under, in every fantasy.
         streams = IterationStreams.from_seed(seed, 2)
         is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
-        z = gaussian_qmc(streams.z_stream, spec.n_v, np.zeros(1), np.ones(1))[:, 0]
+        z = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
         x_disc = prob.bounds[:, 0] + streams.x_stream.take(spec.n_x) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
@@ -535,6 +536,42 @@ def fit_1d(xs, vs, bounds=((0.0, 1.0),)):
     return fit_map(
         np.asarray(xs, float)[:, None], np.asarray(vs, float), bounds=np.array(bounds)
     )
+
+
+class TestDeepTails:
+    """hc's rule F and ts_mr's stage 2 take log Phi of the standardized
+    deviation h however deep in the tail it lies, with that value's gradient,
+    so a search that starts there moves toward the limit state."""
+
+    @pytest.mark.parametrize("kind", ["hc", "ts_mr"])
+    def test_value_is_log_phi_of_unclamped_h(self, monkeypatch, kind):
+        xs, vs = np.array([0.2, 0.8]), np.array([5.0, 6.0])
+        state = fit_1d(xs, vs)
+        c = -100.0  # nothing is feasible, so the cascade runs rule F
+        problem = box_problem([[0.0, 1.0]], c)
+        searches = []
+
+        def recording_qn(evaluate, bounds, starts, **kwargs):
+            searches.append((evaluate, np.asarray(bounds, float), starts))
+            return multistart_qn(evaluate, bounds, starts, **kwargs)
+
+        monkeypatch.setattr(acquisition, "multistart_qn", recording_qn)
+        _, diag = next_point(context(state, problem, small_spec(kind), 5, (xs[:, None], vs)))
+        assert diag.rule == {"hc": "F", "ts_mr": "ts_mr"}[kind]
+        evaluate, bounds, starts = searches[-1]  # ts_mr: stage 2, over perturbations u
+        origin = diag.nominal if kind == "ts_mr" else 0.0
+        for start in starts:
+            mean, var = state.posterior(origin + start[None, :])
+            h = (mean[0] - c) / np.sqrt(var[0])
+            assert h > 37.0
+            if kind == "hc":
+                want = log_ndtr(-h)
+            else:
+                want = problem.perturb.log_density(start[None, :])[0] + log_ndtr(h) + log_ndtr(-h)
+            value, grad = evaluate(start)
+            assert value == pytest.approx(want, rel=1e-12)
+            span = bounds[:, 1] - bounds[:, 0]
+            assert fd_gradient_error(lambda p: evaluate(p)[0], start, grad, span) < 1e-3
 
 
 class TestCascade:

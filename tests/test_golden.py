@@ -31,7 +31,7 @@ from relbo.harness import (
     recommend,
     run_bo,
 )
-from relbo.numerics import SobolStream, gaussian_qmc
+from relbo.numerics import SobolStream, gaussian_qmc, gaussian_stream_dim
 from relbo.problems import get_problem
 from relbo.reliability import (
     draw_is_sample,
@@ -99,10 +99,10 @@ def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
     pts = _box(bounds, 2048, 4)
     y = pts[5]
     path = state.draw_rff_path(1024, seed=6)
-    u_stream = SobolStream(2 * ((d + 1) // 2), scramble_seed=7)
+    u_stream = SobolStream(gaussian_stream_dim(d), scramble_seed=7)
     sample = draw_is_sample(prob.perturb, prob.default_tau, 32, u_stream)
     xs = _box(bounds, 64, 8)
-    z = gaussian_qmc(SobolStream(2, scramble_seed=9), 8, np.zeros(1), np.ones(1))[:, 0]
+    z = gaussian_qmc(SobolStream(2, scramble_seed=9), 8, np.ones(1))[:, 0]
     spec = AcquisitionSpec("kg_mr_discrete", **SMALL)
     scan = _FantasyScan(state, _box(bounds, 128, 10), z, sample, bounds, c, spec.use_log)
     grid = (sample, bounds, smoothing_width(bounds), c)

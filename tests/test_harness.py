@@ -4,6 +4,7 @@ the optimization loop and manifest writing."""
 import configparser
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from relbo.harness import (
     trace_is_complete,
 )
 from relbo.problems import get_problem
+from relbo.reliability import smooth_feasibility
 
 CONFIG_TEXT = """\
 [problem]
@@ -228,6 +230,29 @@ class TestRecommend:
         x_rec, _ = recommend(branin_state, branin_problem, seed=1, n_u_coarse=256)
         assert np.all(x_rec >= branin_problem.bounds[:, 0])
         assert np.all(x_rec <= branin_problem.bounds[:, 1])
+
+    def test_all_zero_estimates_fall_back_to_most_in_box_mass(
+        self, branin_state, branin_problem, monkeypatch, caplog
+    ):
+        scanned = []
+
+        def zero_everywhere(state, xs, is_sample, bounds, delta, c):
+            scanned.append((xs, is_sample, delta))
+            return np.full(len(xs), -np.inf)
+
+        monkeypatch.setattr(harness, "estimate_pn_batch", zero_everywhere)
+        with caplog.at_level(logging.WARNING, logger="relbo.harness"):
+            x_rec, p_hat = recommend(branin_state, branin_problem, seed=1, n_u_coarse=256)
+        assert p_hat == 0.0
+        assert any("zero estimated probability" in r.message for r in caplog.records)
+        ((cands, sample, delta),) = scanned
+        weights = np.exp(sample.log_weights)
+        mass = [
+            np.mean(weights * smooth_feasibility(x + sample.points, branin_problem.bounds, delta))
+            for x in cands
+        ]
+        (i,) = np.flatnonzero(np.all(cands == x_rec, axis=1))
+        assert mass[i] == pytest.approx(max(mass), rel=1e-12)
 
 
 class TestTraceIO:

@@ -11,7 +11,7 @@ from scipy.special import erf, gammainc, logsumexp
 from conftest import fd_gradient_error, log_j_at
 from relbo import numerics
 from relbo.acquisition import AcqContext, AcquisitionSpec, IterationStreams, ts_mr_next
-from relbo.numerics import SobolStream
+from relbo.numerics import SobolStream, gaussian_stream_dim
 from relbo.problems import get_problem
 from relbo.reliability import (
     ISSample,
@@ -35,7 +35,7 @@ UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0]])
 
 
 def u_stream(d, seed=0):
-    return SobolStream(2 * ((d + 1) // 2), scramble_seed=seed)
+    return SobolStream(gaussian_stream_dim(d), scramble_seed=seed)
 
 
 class TestPerturbationModel:

@@ -8,9 +8,12 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
 import relbo.numerics as numerics
+import relbo.surrogate as surrogate
 from conftest import fantasy_marginal, fd_gradient_error
 from relbo.acquisition import _fantasy_log_p
+from relbo.harness import initial_design
 from relbo.numerics import SobolStream
+from relbo.problems import get_problem
 from relbo.reliability import ISSample
 from relbo.surrogate import (
     NOISE_VARIANCE,
@@ -215,6 +218,21 @@ class TestFitMap:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_map(np.zeros((0, 2)), np.zeros(0), bounds=[[0, 1], [0, 1]])
+
+    def test_jitter_escalates_when_no_start_survives(self, monkeypatch):
+        # Every Cholesky factorization fails without jitter: each start is
+        # abandoned, and the fit is retried at the next jitter level.
+        def failing_without_jitter(theta, Xn, zc_raw, jitter):
+            if jitter == 0.0:
+                return np.inf, np.zeros_like(theta)
+            return _nll_and_grad(theta, Xn, zc_raw, jitter)
+
+        monkeypatch.setattr(surrogate, "_nll_and_grad", failing_without_jitter)
+        prob = get_problem("branin-2d")
+        Y, v = initial_design(prob, seed=1)
+        state = fit_map(Y, v, bounds=prob.bounds, seed=0)
+        assert state.jitter == 1e-8
+        assert np.all(np.isfinite(state.posterior(Y)[1]))
 
     @pytest.mark.parametrize("name, n", [("branin-2d", 25), ("hartmann-6d", 30)])
     def test_map_objective_gradient_matches_fd(self, name, n):
