@@ -44,43 +44,35 @@ log = logging.getLogger(__name__)
 # ts_mr's stage 2 draws this many perturbation candidates from N(0, Sigma_u)
 # and as many uniformly in the box, besides u = 0.
 _U_DRAW = 64
+# hc's rule LS runs DIRECT with this many evaluations per dimension.
+_DIRECT_BUDGET_PER_DIM = 200
 
 
 @dataclass
 class AcquisitionSpec:
-    """Strategy choice plus the shared sample-size and smoothing knobs."""
+    """Strategy choice plus the shared sample-size and smoothing knobs; the
+    problem sets tau, the value function and the cascade's eps_s/delta_band."""
 
     kind: str
     n_u: int = 64  # qMC importance-sample size
     n_v: int = 64  # fantasy count for the knowledge gradient
     n_x: int = 512  # discretization size
-    tau: float = 3.0  # IS scale (1 in the non-extreme regime)
     rho: float = 0.01  # Thompson threshold-smoothing width
     kappa: float = 2.0  # expected-feasibility band width
-    eps_s: float | None = None  # cascade minimum sample separation
-    delta_band: float | None = None  # cascade limit-state band half-width
-    use_log: bool = True  # value function -log P (False: raw P)
     n_raw: int | None = None  # candidate scan size (None: 512 if d<=2 else 1024)
     n_restarts: int = 10
-    direct_budget_per_dim: int = 200
 
     def __post_init__(self):
         if self.kind not in _strategies():
             raise ValueError(f"unknown acquisition kind {self.kind!r}")
         if min(self.n_u, self.n_v, self.n_x, self.n_restarts) < 1:
             raise ValueError("sample sizes must be positive")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
         if not (self.rho > 0 and self.kappa > 0):
             raise ValueError("rho and kappa must be positive")
         if self.kind == "ts_mr" and self.n_restarts > 2 * _U_DRAW + 1:
             raise ValueError(
                 f"ts_mr's n_restarts must be <= its {2 * _U_DRAW + 1} perturbation candidates"
             )
-        if self.direct_budget_per_dim < 3:
-            raise ValueError("direct_budget_per_dim must be >= 3")
-        if any(v is not None and not v >= 0 for v in (self.eps_s, self.delta_band)):
-            raise ValueError("eps_s and delta_band must be non-negative")
 
     def raw_count(self, dim: int) -> int:
         if self.n_raw is not None:
@@ -218,7 +210,7 @@ def ts_mr_next(ctx: AcqContext):
     d = bounds.shape[0]
     delta = smoothing_width(bounds)
     path = state.draw_rff_path(1024, seed=streams.path_seed)
-    is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
+    is_sample = draw_is_sample(problem.perturb, problem.default_tau, spec.n_u, streams.u_stream)
     path = path.fix_perturbations(is_sample.points)
 
     # Stage 1: nominal design minimizing the path's log failure probability.
@@ -451,10 +443,12 @@ def _kg_scan(ctx: AcqContext):
     """
     problem, spec, streams = ctx.problem, ctx.spec, ctx.streams
     bounds = problem.bounds
-    is_sample = draw_is_sample(problem.perturb, spec.tau, spec.n_u, streams.u_stream)
+    is_sample = draw_is_sample(problem.perturb, problem.default_tau, spec.n_u, streams.u_stream)
     z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
     x_disc = _scale_to_box(streams.x_stream.take(spec.n_x), bounds)
-    scan = _FantasyScan(ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, spec.use_log)
+    scan = _FantasyScan(
+        ctx.state, x_disc, z_sample, is_sample, bounds, problem.c, problem.use_log
+    )
     cands = _raw_candidates(ctx)
     return scan, cands, scan.scan(cands)
 
@@ -494,7 +488,7 @@ def kg_oneshot_next(ctx: AcqContext):
 
     def objective(joint):
         return oneshot_objective(
-            state, joint, scan.z, scan.is_sample, bounds, delta, problem.c, spec.use_log
+            state, joint, scan.z, scan.is_sample, bounds, delta, problem.c, problem.use_log
         )
 
     joint_best, _, _ = multistart_qn(
@@ -511,7 +505,7 @@ def kg_oneshot_next(ctx: AcqContext):
         state, y_next, np.tile(scan.z, 2), np.vstack([xs, keep]), scan.is_sample, bounds,
         delta, problem.c,
     )
-    per_fantasy = _value_from_log_p(log_p.reshape(2, spec.n_v), spec.use_log)
+    per_fantasy = _value_from_log_p(log_p.reshape(2, spec.n_v), problem.use_log)
     gain = float(np.mean(np.max(per_fantasy, axis=0)) - np.max(values))
     return y_next, AcqDiagnostics(value=gain, rule="kg_mr_oneshot")
 
@@ -523,13 +517,11 @@ def hc_next(ctx: AcqContext):
     """Four-rule cascade: feasibility probability when nothing feasible has
     been seen yet, otherwise limit-state spread, tunneling, then maximal
     variance -- accepting the first proposal far enough from every sample."""
-    state, spec = ctx.state, ctx.spec
-    bounds, c = ctx.problem.bounds, ctx.problem.c
+    state, problem = ctx.state, ctx.problem
+    bounds, c = problem.bounds, problem.c
     d = bounds.shape[0]
     Y, v = np.atleast_2d(ctx.Y), np.asarray(ctx.v, float)
     diag_len = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
-    eps_s = spec.eps_s if spec.eps_s is not None else ctx.problem.eps_s
-    delta_band = spec.delta_band if spec.delta_band is not None else ctx.problem.delta_band
     feasible = v <= c
 
     def log_alpha_f(ys, want_grad):
@@ -550,18 +542,16 @@ def hc_next(ctx: AcqContext):
         return float(np.min(np.linalg.norm(pts - y, axis=1)))
 
     def separated(y):
-        return min_dist(y, Y) >= eps_s
+        return min_dist(y, Y) >= problem.eps_s
 
     # Rule LS: stay within the predicted limit-state band, spread out.
     def alpha_ls(y):
         mean, _ = state.posterior(y[None, :])
-        if abs(mean[0] - c) > delta_band:
+        if abs(mean[0] - c) > problem.delta_band:
             return 0.0
         return min_dist(y, Y) / diag_len
 
-    y_ls, val_ls = direct_maximize(
-        alpha_ls, bounds, spec.direct_budget_per_dim * d
-    )
+    y_ls, val_ls = direct_maximize(alpha_ls, bounds, _DIRECT_BUDGET_PER_DIM * d)
     if val_ls > 0.0 and separated(y_ls):
         return y_ls, AcqDiagnostics(value=float(val_ls), rule="LS")
 

@@ -35,13 +35,12 @@ def _cmd_run(args):
 def _cmd_score(args):
     problem = get_problem(args.problem, args.mode)
     _, rows = read_trace(args.trace)
-    tau = args.tau if args.tau is not None else problem.default_tau
     print("n,p_true")
     for row in rows:
         if row["phase"] != "iter" or row.get("x_rec_1") is None:
             continue
         x = np.array([row[f"x_rec_{j + 1}"] for j in range(problem.dim)])
-        p = evaluate_true_failure(problem, x, n_u=args.n_u, tau=tau)
+        p = evaluate_true_failure(problem, x, n_u=args.n_u, tau=args.tau)
         print(f"{row['n']},{p:.17g}")
     return 0
 

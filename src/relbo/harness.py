@@ -6,6 +6,7 @@ management with per-repeat seed discipline, and CSV trace persistence.
 from __future__ import annotations
 
 import configparser
+import ctypes
 import hashlib
 import json
 import logging
@@ -105,8 +106,8 @@ class ExperimentConfig:
 
 # INI key -> AcquisitionSpec type, and [recommendation] key -> config field.
 _SPEC_KEYS = {
-    "n_u": int, "n_v": int, "n_x": int, "tau": float, "rho": float, "kappa": float,
-    "eps_s": float, "delta_band": float, "n_raw": int, "n_restarts": int,
+    "n_u": int, "n_v": int, "n_x": int, "rho": float, "kappa": float, "n_raw": int,
+    "n_restarts": int,
 }
 _REC_KEYS = {
     "restarts": "rec_restarts", "n_u_coarse": "rec_n_u_coarse",
@@ -114,7 +115,7 @@ _REC_KEYS = {
 }
 _CONFIG_SECTIONS = {
     "problem": {"name", "mode"},
-    "acquisition": {"kind", "use_log", *_SPEC_KEYS},
+    "acquisition": {"kind", *_SPEC_KEYS},
     "budget": {"n_tot", "repeats", "base_seed"},
     "recommendation": {"record_timing", *_REC_KEYS},
 }
@@ -138,14 +139,6 @@ def load_config(path, out_dir=None) -> ExperimentConfig:
     budget = parser["budget"]
     rec = parser["recommendation"] if parser.has_section("recommendation") else {}
 
-    mode = prob.get("mode", "extreme")
-    spec_kwargs = {"kind": acq["kind"]}
-    spec_kwargs.update((k, cast(acq[k])) for k, cast in _SPEC_KEYS.items() if k in acq)
-    spec_kwargs["use_log"] = acq.getboolean("use_log", fallback=mode == "extreme")
-    if "tau" not in spec_kwargs and mode == "non_extreme":
-        spec_kwargs["tau"] = 1.0
-    spec = AcquisitionSpec(**spec_kwargs)
-
     kwargs = {name: int(rec[k]) for k, name in _REC_KEYS.items() if k in rec}
     if "record_timing" in rec:
         kwargs["record_timing"] = parser["recommendation"].getboolean("record_timing")
@@ -153,11 +146,13 @@ def load_config(path, out_dir=None) -> ExperimentConfig:
         kwargs["out_dir"] = Path(out_dir)
     return ExperimentConfig(
         problem=prob["name"],
-        acquisition=spec,
+        acquisition=AcquisitionSpec(
+            acq["kind"], **{k: cast(acq[k]) for k, cast in _SPEC_KEYS.items() if k in acq}
+        ),
         n_tot=int(budget["n_tot"]),
         repeats=int(budget.get("repeats", 1)),
         base_seed=int(budget.get("base_seed", 0)),
-        mode=mode,
+        mode=prob.get("mode", "extreme"),
         **kwargs,
     )
 
@@ -193,7 +188,6 @@ def recommend(
     state,
     problem: Problem,
     seed: int = 0,
-    tau: float | None = None,
     restarts: int = 10,
     n_u_coarse: int = 1024,
     n_u_fine: int = 131072,
@@ -208,9 +202,7 @@ def recommend(
     Returns (x_rec, p_hat at x_rec).
     """
     bounds = problem.bounds
-    d = problem.dim
-    if tau is None:
-        tau = problem.default_tau
+    d, tau = problem.dim, problem.default_tau
     delta = smoothing_width(bounds)
     u_stream = SobolStream(gaussian_stream_dim(d), scramble_seed=_child_seed(seed, 1))
     sample = draw_is_sample(problem.perturb, tau, n_u_coarse, u_stream)
@@ -340,7 +332,6 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
     uninterrupted one.
     """
     problem = get_problem(config.problem, config.mode)
-    spec = config.acquisition
     seed = config.base_seed + repeat_index
     d = problem.dim
     if trace_path is None:
@@ -370,7 +361,7 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
             state = fit_map(Y, v, bounds=problem.bounds, seed=_child_seed(seed, "fit", n))
         streams = IterationStreams.from_seed(_child_seed(seed, "acq", n), d)
         y_next, diag = next_point(
-            AcqContext(state, problem, spec, streams, Y, v, sobol_seed)
+            AcqContext(state, problem, config.acquisition, streams, Y, v, sobol_seed)
         )
         v_next = float(problem.evaluate(y_next[None, :])[0])
         Y = np.vstack([Y, y_next[None, :]])
@@ -383,17 +374,11 @@ def run_bo(config: ExperimentConfig, repeat_index: int, trace_path=None) -> Path
         if is_checkpoint:
             state = fit_map(Y, v, bounds=problem.bounds, seed=_child_seed(seed, "fit", n + 1))
             x_rec, p_hat = recommend(
-                state,
-                problem,
-                seed=_child_seed(seed, "rec", n),
-                tau=spec.tau,
-                restarts=config.rec_restarts,
-                n_u_coarse=config.rec_n_u_coarse,
-                n_u_fine=config.rec_n_u_fine,
+                state, problem, seed=_child_seed(seed, "rec", n), restarts=config.rec_restarts,
+                n_u_coarse=config.rec_n_u_coarse, n_u_fine=config.rec_n_u_fine,
             )
             p_true = evaluate_true_failure(
-                problem, x_rec, n_u=config.score_n_u, tau=spec.tau,
-                seed=_child_seed(seed, "score"),
+                problem, x_rec, n_u=config.score_n_u, seed=_child_seed(seed, "score")
             )
         wall_ms = (time.monotonic() - t0) * 1e3 if config.record_timing else 0.0
         writer.append(
@@ -423,6 +408,16 @@ def _blas_id(show_config) -> str:
     return " | ".join(str(p) for p in parts if p)
 
 
+def _blas_core(package, symbol) -> str:
+    """The kernel set the OpenBLAS in ``<package>.libs`` picked for this CPU."""
+    libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("*openblas*"))))
+        return ctypes.CFUNCTYPE(ctypes.c_char_p)((symbol, lib))().decode()
+    except (StopIteration, OSError, AttributeError):
+        return "unknown"
+
+
 def environment_fingerprint() -> dict:
     """The numerical platform of this process, recorded in manifests.
 
@@ -430,16 +425,18 @@ def environment_fingerprint() -> dict:
     Python, NumPy, SciPy or BLAS build may round the last digits of the linear
     algebra differently, and a run then drifts to another query sequence.
     SciPy links its own BLAS, which drives the GP's Cholesky solves, so both
-    are listed. The fingerprint does not tell apart CPUs of one architecture:
-    a BLAS built with run-time kernel dispatch (OpenBLAS ``DYNAMIC_ARCH``) may
-    still round differently on two hosts that share it.
+    are listed. A BLAS built with run-time kernel dispatch (OpenBLAS
+    ``DYNAMIC_ARCH``) picks its kernels by CPU, so the kernel set each one
+    runs is listed too; two CPUs that share it may still round differently.
     """
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": _blas_id(np.show_config),
+        "blas_core": _blas_core(np, "scipy_openblas_get_corename64_"),
         "scipy_blas": _blas_id(scipy.show_config),
+        "scipy_blas_core": _blas_core(scipy, "scipy_openblas_get_corename"),
         "machine": platform.machine(),
     }
 

@@ -44,6 +44,8 @@ class Problem:
         object.__setattr__(self, "bounds", np.asarray(self.bounds, float))
         if self.bounds.shape != (self.dim, 2):
             raise ValueError("bounds shape mismatch")
+        if not (np.isfinite(self.c) and np.all(self.bounds[:, 0] < self.bounds[:, 1])):
+            raise ValueError(f"{self.name}: needs a finite c and lo < hi on every box side")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.perturb.dim != self.dim:
@@ -58,6 +60,11 @@ class Problem:
     @property
     def default_tau(self) -> float:
         return 3.0 if self.mode == "extreme" else 1.0
+
+    @property
+    def use_log(self) -> bool:
+        """Whether the KG value function is -log P (else raw P)."""
+        return self.mode == "extreme"
 
     def evaluate(self, points) -> np.ndarray:
         """Function values; every point must lie inside the feasible box."""

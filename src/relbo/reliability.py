@@ -342,8 +342,7 @@ def evaluate_true_failure(
     indicators on the true function. ``problem`` provides evaluate_unchecked,
     bounds, threshold and perturbation model."""
     perturb = problem.perturb
-    if tau is None:
-        tau = problem.default_tau
+    tau = problem.default_tau if tau is None else tau
     stream = SobolStream(gaussian_stream_dim(perturb.dim), scramble_seed=seed)
     sample = draw_is_sample(perturb, tau, n_u, stream)
     x = np.asarray(x, float)
@@ -351,9 +350,7 @@ def evaluate_true_failure(
     bounds = np.asarray(problem.bounds, float)
     inside = np.all((y_pts >= bounds[:, 0]) & (y_pts <= bounds[:, 1]), axis=1)
     fail = ~inside
-    if problem.c == -np.inf:
-        fail = np.ones_like(fail)
-    elif np.any(inside) and np.isfinite(problem.c):
+    if np.any(inside):
         fv = in_blocks(problem.evaluate_unchecked, y_pts[inside], perturb.dim)
         fail[inside] = fv >= problem.c
     w = np.exp(sample.log_weights)

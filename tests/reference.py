@@ -53,7 +53,7 @@ def refit_on_fantasy(state, y, z: float) -> SurrogateState:
 
 
 def kg_discrete_value(
-    state, y, spec, x_disc, z_sample, is_sample, bounds, c, baseline=None
+    state, y, use_log, x_disc, z_sample, is_sample, bounds, c, baseline=None
 ):
     """One-step expected gain in the best achievable value over a finite
     design grid, from a hypothetical observation at ``y``.
@@ -64,12 +64,12 @@ def kg_discrete_value(
     """
     if baseline is None:
         base_log = estimate_pn_batch(state, x_disc, is_sample, bounds, 0.0, c)
-        baseline = float(np.max(_value_from_log_p(base_log, spec.use_log)))
+        baseline = float(np.max(_value_from_log_p(base_log, use_log)))
     total = 0.0
     for z in z_sample:
         fant = refit_on_fantasy(state, y, float(z))
         log_p = estimate_pn_batch(fant, x_disc, is_sample, bounds, 0.0, c)
-        best = np.max(_value_from_log_p(log_p, spec.use_log))
+        best = np.max(_value_from_log_p(log_p, use_log))
         if best == np.inf:
             return np.inf
         total += best

@@ -235,14 +235,14 @@ def test_criterion_05_kg_nonnegative(branin_state, branin_problem):
     prob = branin_problem
     spec = AcquisitionSpec("kg_mr_discrete", n_u=32, n_v=16, n_x=128, n_raw=64, n_restarts=4)
     streams = IterationStreams.from_seed(20, 2)
-    sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+    sample = draw_is_sample(prob.perturb, prob.default_tau, spec.n_u, streams.u_stream)
     # Antithetic fantasy draws: matching the first moment exactly keeps the
     # estimator noise on this provably non-negative quantity inside the slack.
     z_half = gaussian_qmc(streams.z_stream, spec.n_v // 2, np.ones(1))[:, 0]
     z_sample = np.concatenate([z_half, -z_half])
     x_disc = box_points(prob.bounds, spec.n_x, seed=21)
     scan = _FantasyScan(
-        branin_state, x_disc, z_sample, sample, prob.bounds, prob.c, spec.use_log
+        branin_state, x_disc, z_sample, sample, prob.bounds, prob.c, prob.use_log
     )
     ys = box_points(prob.bounds, 512, seed=22)
     vals = scan.scan(ys)
@@ -324,10 +324,8 @@ def test_criterion_07_tau_self_consistency(quadratic_state, quadratic_problem):
 
 
 def criterion8_config(out_dir):
-    spec = AcquisitionSpec(
-        "kg_mr_oneshot", n_u=32, n_v=8, n_x=256, tau=1.0, use_log=False,
-        n_raw=32, n_restarts=4,
-    )
+    # mode = non_extreme gives tau = 1 and the raw-P value function.
+    spec = AcquisitionSpec("kg_mr_oneshot", n_u=32, n_v=8, n_x=256, n_raw=32, n_restarts=4)
     return ExperimentConfig(
         "quadratic-2d", spec, n_tot=40, repeats=10, base_seed=0,
         mode="non_extreme", out_dir=Path(out_dir), rec_stride=34,

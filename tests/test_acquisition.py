@@ -2,6 +2,7 @@
 variants, the limit-state cascade, expected feasibility, expected improvement
 and the Sobol' baseline."""
 
+import dataclasses
 import functools
 import logging
 
@@ -64,14 +65,14 @@ def context(state, problem, spec, seed, history=None, sobol_seed=0):
     return AcqContext(state, problem, spec, streams, Y, v, sobol_seed)
 
 
-def box_problem(bounds, c=0.0, n_0=2):
-    """A problem on ``bounds`` with threshold ``c``; strategies never call
-    its function."""
+def box_problem(bounds, c=0.0, n_0=2, delta_band=10.0):
+    """A problem on ``bounds`` with threshold ``c`` and the cascade's band
+    half-width ``delta_band``; strategies never call its function."""
     bounds = np.asarray(bounds, float)
     diag = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
     return Problem(
         "box", len(bounds), bounds, c, PerturbationModel(np.full(len(bounds), 0.05)),
-        n_0=n_0, eps_s=0.01 * diag, delta_band=10.0, mode="extreme",
+        n_0=n_0, eps_s=0.01 * diag, delta_band=delta_band, mode="extreme",
         _fn=lambda Y: np.sum(Y, axis=1),
     )
 
@@ -81,7 +82,7 @@ def branin_setup(branin_state, branin_problem):
     spec = small_spec("kg_mr_discrete")
     streams = IterationStreams.from_seed(11, 2)
     is_sample = draw_is_sample(
-        branin_problem.perturb, spec.tau, spec.n_u, streams.u_stream
+        branin_problem.perturb, branin_problem.default_tau, spec.n_u, streams.u_stream
     )
     z_sample = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
     x_disc = branin_problem.bounds[:, 0] + streams.x_stream.take(spec.n_x) * (
@@ -98,7 +99,7 @@ class TestSpecAndStreams:
     def test_defaults(self):
         spec = AcquisitionSpec("ei")
         assert (spec.n_u, spec.n_v, spec.n_x) == (64, 64, 512)
-        assert (spec.tau, spec.rho, spec.kappa) == (3.0, 0.01, 2.0)
+        assert (spec.rho, spec.kappa) == (0.01, 2.0)
 
     def test_raw_count_dimension_default(self):
         spec = AcquisitionSpec("ei")
@@ -106,13 +107,9 @@ class TestSpecAndStreams:
         assert spec.raw_count(6) == 1024
         assert AcquisitionSpec("ei", n_raw=99).raw_count(6) == 99
 
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            AcquisitionSpec("ei", tau=0.5)
-
     @pytest.mark.parametrize(
         "key, value", [("rho", 0.0), ("rho", -0.01), ("rho", np.nan), ("kappa", 0.0),
-                       ("kappa", -2.0), ("eps_s", -1e-3), ("delta_band", -0.1)],
+                       ("kappa", -2.0)],
     )
     def test_bad_smoothing_and_cascade_knobs_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -124,16 +121,6 @@ class TestSpecAndStreams:
         with pytest.raises(ValueError, match="n_restarts"):
             AcquisitionSpec("ts_mr", n_raw=512, n_restarts=130)
         assert AcquisitionSpec("ei", n_raw=512, n_restarts=130).n_restarts == 130
-
-    def test_direct_budget_below_three_rejected(self):
-        # Below 3 per dimension, DIRECT's budget is under its 2d + 1 minimum.
-        assert AcquisitionSpec("hc", direct_budget_per_dim=3).direct_budget_per_dim == 3
-        with pytest.raises(ValueError, match="direct_budget_per_dim"):
-            AcquisitionSpec("hc", direct_budget_per_dim=2)
-
-    def test_zero_cascade_knobs_accepted(self):
-        spec = AcquisitionSpec("hc", eps_s=0.0, delta_band=0.0)
-        assert (spec.eps_s, spec.delta_band) == (0.0, 0.0)
 
     def test_streams_deterministic(self):
         a = IterationStreams.from_seed(5, 3)
@@ -186,14 +173,14 @@ class TestThompson:
 class TestDiscreteKG:
     def test_scan_matches_reference_route(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, prob.use_log)
         rng = np.random.default_rng(0)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         for _ in range(10):
             y = prob.bounds[:, 0] + rng.uniform(size=2) * span
             fast, _ = scan.value_at(y)
             slow = kg_discrete_value(
-                state, y, spec, x_disc, z_sample, is_sample, prob.bounds, prob.c
+                state, y, prob.use_log, x_disc, z_sample, is_sample, prob.bounds, prob.c
             )
             assert abs(fast - slow) < 1e-8 * max(1.0, abs(slow))
 
@@ -206,10 +193,10 @@ class TestDiscreteKG:
         bounds, span = prob.bounds, prob.bounds[:, 1] - prob.bounds[:, 0]
         spec = small_spec("kg_mr_discrete", n_u=64, n_v=32, n_x=512)
         streams = IterationStreams.from_seed(11, prob.dim)
-        is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+        is_sample = draw_is_sample(prob.perturb, prob.default_tau, spec.n_u, streams.u_stream)
         z = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
         x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
-        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, prob.use_log)
         sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(16) * span
         for delta in (0.0, smoothing_width(bounds)):
             for y in sites:
@@ -222,13 +209,13 @@ class TestDiscreteKG:
 
     def test_no_gain_at_training_point(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, prob.use_log)
         val, _ = scan.value_at(state.train_inputs[3])
         assert -1e-3 <= val <= 1e-3
 
     def test_lemma_nonnegative_over_random_sites(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, prob.use_log)
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=31).take(100) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
@@ -239,7 +226,7 @@ class TestDiscreteKG:
         # With the per-fantasy best grid designs held fixed, the envelope
         # gradient is the gradient of the fantasy-averaged value at them.
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, prob.use_log)
         span = prob.bounds[:, 1] - prob.bounds[:, 0]
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=43).take(8) * span
         checked = 0
@@ -253,7 +240,7 @@ class TestDiscreteKG:
                 log_p, _, _ = _fantasy_log_p(
                     state, site, z_sample, xs, is_sample, prob.bounds, 0.0, prob.c
                 )
-                return float(np.mean(_value_from_log_p(log_p, spec.use_log)))
+                return float(np.mean(_value_from_log_p(log_p, prob.use_log)))
 
             assert fd_gradient_error(averaged, y, grad, span) < 1e-3
             checked += 1
@@ -263,7 +250,7 @@ class TestDiscreteKG:
         prob = branin_problem
         spec = small_spec("kg_mr_discrete", n_x=64, n_u=32)
         streams = IterationStreams.from_seed(17, 2)
-        is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+        is_sample = draw_is_sample(prob.perturb, prob.default_tau, spec.n_u, streams.u_stream)
         x_disc = prob.bounds[:, 0] + streams.x_stream.take(spec.n_x) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
@@ -272,7 +259,7 @@ class TestDiscreteKG:
         z_half = gaussian_qmc(streams.z_stream, 256, np.ones(1))[:, 0]
         z_anti = np.concatenate([z_half, -z_half])
         scan = _FantasyScan(
-            branin_state, x_disc, z_anti, is_sample, prob.bounds, prob.c, spec.use_log
+            branin_state, x_disc, z_anti, is_sample, prob.bounds, prob.c, prob.use_log
         )
         qmc_val, _ = scan.value_at(y)
 
@@ -281,7 +268,7 @@ class TestDiscreteKG:
         for _ in range(20):
             z_mc = rng.standard_normal(500)
             s = _FantasyScan(
-                branin_state, x_disc, z_mc, is_sample, prob.bounds, prob.c, spec.use_log
+                branin_state, x_disc, z_mc, is_sample, prob.bounds, prob.c, prob.use_log
             )
             batch_vals.append(s.value_at(y)[0])
         batch_vals = np.asarray(batch_vals)
@@ -308,10 +295,10 @@ class TestKeptRowScan:
         bounds, span = prob.bounds, prob.bounds[:, 1] - prob.bounds[:, 0]
         spec = small_spec("kg_mr_discrete")
         streams = IterationStreams.from_seed(11, prob.dim)
-        is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+        is_sample = draw_is_sample(prob.perturb, prob.default_tau, spec.n_u, streams.u_stream)
         z = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
         x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
-        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, prob.use_log)
         kept = np.count_nonzero(smooth_feasibility(scan.pts, bounds, 0.0) > 0.0)
         assert 0 < kept < len(scan.pts)
         sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(4) * span
@@ -381,7 +368,7 @@ class TestOneShotKG:
 
     def test_oneshot_dominates_discrete_grid_value(self, branin_setup):
         state, prob, spec, is_sample, z_sample, x_disc = branin_setup
-        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z_sample, is_sample, prob.bounds, prob.c, prob.use_log)
         y = np.array([0.0, 6.0])
         disc_val, argbest = scan.value_at(y)
         # Seeded from the per-fantasy grid argmaxes, the continuous inner
@@ -408,7 +395,7 @@ class TestOneShotKG:
     def test_single_zero_fantasy_nonnegative(self, branin_setup):
         state, prob, spec, is_sample, _, x_disc = branin_setup
         scan = _FantasyScan(
-            state, x_disc, np.array([0.0]), is_sample, prob.bounds, prob.c, spec.use_log
+            state, x_disc, np.array([0.0]), is_sample, prob.bounds, prob.c, prob.use_log
         )
         ys = prob.bounds[:, 0] + SobolStream(2, scramble_seed=41).take(32) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
@@ -451,12 +438,12 @@ class TestOneShotKG:
         # The search starts at least as high as keeping the best grid design
         # under the smoothing it runs under, in every fantasy.
         streams = IterationStreams.from_seed(seed, 2)
-        is_sample = draw_is_sample(prob.perturb, spec.tau, spec.n_u, streams.u_stream)
+        is_sample = draw_is_sample(prob.perturb, prob.default_tau, spec.n_u, streams.u_stream)
         z = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
         x_disc = prob.bounds[:, 0] + streams.x_stream.take(spec.n_x) * (
             prob.bounds[:, 1] - prob.bounds[:, 0]
         )
-        scan = _FantasyScan(state, x_disc, z, is_sample, prob.bounds, prob.c, spec.use_log)
+        scan = _FantasyScan(state, x_disc, z, is_sample, prob.bounds, prob.c, prob.use_log)
         delta = smoothing_width(prob.bounds)
         keep = np.tile(x_disc[np.argmax(scan.grid_values(delta))], spec.n_v)
         (starts,) = searched
@@ -489,6 +476,28 @@ def fitted(name, n):
     return prob, fit_map(Y, v, bounds=prob.bounds, seed=0)
 
 
+class TestRegime:
+    """The problem's mode sets the importance-sampling scale tau and the KG
+    value function; no spec field can contradict it."""
+
+    @pytest.mark.parametrize("mode, tau, use_log", [("extreme", 3.0, True),
+                                                     ("non_extreme", 1.0, False)])
+    def test_strategies_follow_the_problems_mode(self, monkeypatch, mode, tau, use_log):
+        prob = get_problem("quadratic-2d", mode)
+        _, state = fitted("quadratic-2d", 10)
+        taus = []
+
+        def recording_draw(perturb, tau, n_u, stream):
+            taus.append(tau)
+            return draw_is_sample(perturb, tau, n_u, stream)
+
+        monkeypatch.setattr(acquisition, "draw_is_sample", recording_draw)
+        ts_mr_next(context(state, prob, AcquisitionSpec("ts_mr"), 0))
+        scan, _, _ = acquisition._kg_scan(context(state, prob, small_spec("kg_mr_discrete"), 0))
+        assert taus == [tau, tau]
+        assert scan.use_log is use_log
+
+
 class TestSearchGradients:
     """The gradient every non-KG strategy hands the L-BFGS search, checked
     against finite differences at each start of the search."""
@@ -519,8 +528,8 @@ class TestSearchGradients:
             return multistart_qn(evaluate, bounds, starts, **kwargs)
 
         monkeypatch.setattr(acquisition, "multistart_qn", recording_qn)
-        spec = small_spec(kind, **overrides)
-        _, diag = next_point(context(state, prob, spec, 0, (Y, v)))
+        prob = dataclasses.replace(prob, **overrides)
+        _, diag = next_point(context(state, prob, small_spec(kind), 0, (Y, v)))
         assert diag.rule == rule
         assert searches
         for evaluate, bounds, starts in searches:
@@ -576,9 +585,8 @@ class TestDeepTails:
 
 class TestCascade:
     def test_feasibility_rule_when_nothing_feasible(self, branin_state, branin_problem):
-        spec = small_spec("hc", eps_s=branin_problem.eps_s, delta_band=10.0)
         history = (branin_state.train_inputs, np.full(branin_state.n, 1e6))
-        y, diag = hc_next(context(branin_state, branin_problem, spec, 1, history))
+        y, diag = hc_next(context(branin_state, branin_problem, small_spec("hc"), 1, history))
         assert diag.rule == "F"
         assert np.all(y >= branin_problem.bounds[:, 0])
         assert np.all(y <= branin_problem.bounds[:, 1])
@@ -590,10 +598,8 @@ class TestCascade:
         xs = np.array([0.2, 0.8])
         vs = np.array([-0.3, 0.3])  # feasible at 0.2 (v <= c)
         state = fit_1d(xs, vs)
-        spec = small_spec("hc", eps_s=0.01, delta_band=10.0)
-        y, diag = hc_next(
-            context(state, box_problem([[0.0, 1.0]], c), spec, 2, (xs[:, None], vs))
-        )
+        problem = box_problem([[0.0, 1.0]], c)  # eps_s = 0.01, delta_band = 10
+        y, diag = hc_next(context(state, problem, small_spec("hc"), 2, (xs[:, None], vs)))
         assert diag.rule == "LS"
         # Grid-scan oracle of the same criterion.
         grid = np.linspace(0.0, 1.0, 10_001)
@@ -610,21 +616,18 @@ class TestCascade:
         vs = np.array([5.0, 6.0])
         state = fit_1d(xs, vs)
         c = 5.2  # 0.2 is feasible; band half-width is tiny
-        spec = small_spec("hc", eps_s=0.01, delta_band=1e-6)
-        y, diag = hc_next(
-            context(state, box_problem([[0.0, 1.0]], c), spec, 3, (xs[:, None], vs))
-        )
+        problem = box_problem([[0.0, 1.0]], c, delta_band=1e-6)
+        y, diag = hc_next(context(state, problem, small_spec("hc"), 3, (xs[:, None], vs)))
         assert diag.rule in ("TN", "MV")
 
     def test_mv_fallback_warns_when_nothing_separated(self, caplog):
-        xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-        vs = np.array([-1.0, 0.5, -0.2, 0.8, 0.1])
+        # Samples every 0.01 leave no point eps_s = 0.01 away from all of them.
+        xs = np.linspace(0.0, 1.0, 101)
+        vs = np.sin(6.0 * xs)  # feasible (v <= 0) beyond x = pi / 6, so rule F is skipped
         state = fit_1d(xs, vs)
-        spec = small_spec("hc", eps_s=10.0, delta_band=1e-9)  # nothing can separate
+        problem = box_problem([[0.0, 1.0]], 0.0, delta_band=1e-9)
         with caplog.at_level(logging.WARNING, logger="relbo.acquisition"):
-            _, diag = hc_next(
-                context(state, box_problem([[0.0, 1.0]], 0.0), spec, 4, (xs[:, None], vs))
-            )
+            _, diag = hc_next(context(state, problem, small_spec("hc"), 4, (xs[:, None], vs)))
         assert diag.rule == "MV"
         assert any("eps_s" in r.message for r in caplog.records)
 

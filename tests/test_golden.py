@@ -104,7 +104,7 @@ def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
     xs = _box(bounds, 64, 8)
     z = gaussian_qmc(SobolStream(2, scramble_seed=9), 8, np.ones(1))[:, 0]
     spec = AcquisitionSpec("kg_mr_discrete", **SMALL)
-    scan = _FantasyScan(state, _box(bounds, 128, 10), z, sample, bounds, c, spec.use_log)
+    scan = _FantasyScan(state, _box(bounds, 128, 10), z, sample, bounds, c, prob.use_log)
     grid = (sample, bounds, smoothing_width(bounds), c)
     out = {
         "posterior": state.posterior(pts),

@@ -5,7 +5,9 @@ import configparser
 import hashlib
 import json
 import logging
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +38,6 @@ mode = extreme
 [acquisition]
 kind = sobol
 n_u = 32
-tau = 3.0
 
 [budget]
 n_tot = 20
@@ -109,13 +110,20 @@ class TestConfig:
             load_config(write_config(tmp_path, bad))
 
     def test_non_extreme_defaults(self, tmp_path):
-        text = CONFIG_TEXT.replace("mode = extreme", "mode = non_extreme").replace(
-            "tau = 3.0\n", ""
-        )
+        text = CONFIG_TEXT.replace("mode = extreme", "mode = non_extreme")
         cfg = load_config(write_config(tmp_path, text))
-        assert cfg.acquisition.tau == 1.0
-        assert cfg.acquisition.use_log is False
         assert cfg.mode == "non_extreme"
+
+    @pytest.mark.parametrize("key, value", [("tau", 1.0), ("use_log", "false"),
+                                            ("eps_s", 0.01), ("delta_band", 0.1)])
+    def test_regime_and_cascade_keys_rejected(self, tmp_path, key, value):
+        # The problem and its mode set these; an INI file cannot override them.
+        with pytest.raises(ValueError, match=f"unknown keys in \\[acquisition\\]: {key}"):
+            load_config(config_with(tmp_path, "acquisition", key, value))
+
+    def test_ini_keys_are_the_spec_fields(self):
+        # An INI file sets exactly what a spec built in Python can.
+        assert set(harness._SPEC_KEYS) | {"kind"} == {f.name for f in fields(AcquisitionSpec)}
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         a = sobol_config(tmp_path)
@@ -189,9 +197,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="base_seed"):
             load_config(config_with(tmp_path, "budget", "base_seed", -1))
 
-    @pytest.mark.parametrize(
-        "key, value", [("rho", 0), ("kappa", -1), ("eps_s", -0.5), ("delta_band", -0.1)]
-    )
+    @pytest.mark.parametrize("key, value", [("rho", 0), ("kappa", -1)])
     def test_bad_smoothing_and_cascade_knobs_rejected(self, tmp_path, key, value):
         # rho = 0 would otherwise load, write the initial design and only
         # divide by zero in Phi((path - c) / rho) at the first acquisition.
@@ -370,6 +376,12 @@ class TestRunBo:
 
 
 class TestRunExperiment:
+    def test_blas_core_unknown_without_library_or_symbol(self, tmp_path):
+        # A package with no bundled OpenBLAS, or a library without the symbol.
+        bare = SimpleNamespace(__name__="bare", __file__=str(tmp_path / "bare" / "__init__.py"))
+        assert harness._blas_core(bare, "scipy_openblas_get_corename") == "unknown"
+        assert harness._blas_core(np, "no_such_symbol") == "unknown"
+
     def test_manifest_contents(self, tmp_path):
         cfg = sobol_config(tmp_path, repeats=2)
         manifest = run_experiment(cfg)
@@ -384,7 +396,10 @@ class TestRunExperiment:
         assert (tmp_path / f"manifest_{cfg.hash()}.json").exists()
 
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "scipy_blas", "machine"}
+        assert set(env) == {
+            "python", "numpy", "scipy", "blas", "blas_core", "scipy_blas", "scipy_blas_core",
+            "machine",
+        }
         assert env == environment_fingerprint()
         on_disk = json.loads(Path(manifest["manifest_path"]).read_text())
         assert on_disk["environment"] == env

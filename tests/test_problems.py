@@ -117,6 +117,17 @@ class TestRegistryTable:
                 _fn=base._fn,
             )
 
+    @pytest.mark.parametrize(
+        "c, side", [(np.inf, [0.0, 1.0]), (-np.inf, [0.0, 1.0]), (np.nan, [0.0, 1.0]),
+                    (0.09, [0.5, 0.5]), (0.09, [1.0, 0.0])],
+    )
+    def test_non_finite_threshold_or_empty_side_rejected(self, c, side):
+        # Either would otherwise load and fail at the first acquisition.
+        base = get_problem("quadratic-2d")
+        with pytest.raises(ValueError, match="finite c and lo < hi"):
+            Problem("bad", 2, [[0.0, 1.0], side], c, base.perturb, base.n_0, base.eps_s,
+                    base.delta_band, base.mode, base._fn)
+
     def test_all_names_constructible(self):
         for name in PROBLEM_NAMES:
             for mode in ("extreme", "non_extreme"):
