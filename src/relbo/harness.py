@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .acquisition import AcqContext, AcquisitionSpec, IterationStreams, next_point
-from .numerics import SobolStream, gaussian_stream_dim
+from .numerics import SobolStream, gaussian_stream_dim, in_blocks
 from .optimizers import boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
 from .reliability import (
@@ -214,9 +214,13 @@ def recommend(
         # Every candidate has estimated failure probability zero; fall back to
         # the candidate keeping the most perturbation mass inside the box.
         log.warning("recommend: all candidates at zero estimated probability")
-        iota = smooth_feasibility(perturbed_grid(cands, sample), bounds, delta)
-        mass = np.mean(np.exp(sample.log_weights) * iota.reshape(len(cands), -1), axis=1)
-        return cands[int(np.argmax(mass))], 0.0
+        w = np.exp(sample.log_weights)
+
+        def mass(xs):  # over blocks of candidates, as estimate_pn_batch
+            iota = smooth_feasibility(perturbed_grid(xs, sample), bounds, delta)
+            return np.mean(w * iota.reshape(len(xs), -1), axis=1)
+
+        return cands[int(np.argmax(in_blocks(mass, cands, len(sample) * d)))], 0.0
     starts = boltzmann_restarts(cands, -log_p, restarts, _child_seed(seed, 3))
 
     def polish(is_sample, starts, **kwargs):

@@ -317,13 +317,19 @@ def estimate_pn_batch(
 ) -> np.ndarray:
     """log P_hat at each of a batch of nominal designs (no gradients).
 
-    Vectorized across candidates; equal to looping :func:`estimate_pn`.
+    Vectorized over blocks of candidates, so the perturbed grid of one block
+    is built at a time; equal to looping :func:`estimate_pn`.
     """
-    pts = perturbed_grid(xs, is_sample)
-    return _log_p(
-        lambda sel: state.posterior(pts[sel]), state.variance_floor, c, pts, is_sample,
-        bounds, delta, False,
-    )[0]
+
+    def block(xs):
+        pts = perturbed_grid(xs, is_sample)
+        return _log_p(
+            lambda sel: state.posterior(pts[sel]), state.variance_floor, c, pts, is_sample,
+            bounds, delta, False,
+        )[0]
+
+    xs = np.atleast_2d(np.asarray(xs, float))
+    return in_blocks(block, xs, len(is_sample) * xs.shape[1])
 
 
 def estimate_ptilde_batch(path, xs, is_sample, bounds, delta, c, rho) -> np.ndarray:

@@ -6,8 +6,10 @@ Traces and hot-path outputs are byte-identical across reruns on one platform
 only, so the digests live in ``tests/golden/<key>.json``, the key being the
 first 16 hex digits of the sha256 of ``environment_fingerprint()`` as sorted
 JSON. The tests compare against this platform's entry and skip when there is
-none. An entry is written only by running this file, which prints each
-digest that differs from the entry it overwrites::
+none; the hot-path digests are also recomputed at one BLAS thread, and on the
+fixtures the default row blocks must give the bytes of a single block. An
+entry is written only by running this file, which prints each digest that
+differs from the entry it overwrites::
 
     PYTHONPATH=src python tests/test_golden.py --refresh
 """
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relbo import numerics
 from relbo.acquisition import AcquisitionSpec, _FantasyScan, _strategies, oneshot_objective
 from relbo.harness import (
     ExperimentConfig,
@@ -88,14 +93,20 @@ def _box(bounds, count, seed):
     )
 
 
-def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
-    """The hot-path outputs on a MAP fit to ``n`` observations of ``name``:
-    the initial design plus a Sobol' fill, as the benchmark's fixtures."""
+def fitted(name: str, n: int):
+    """The problem ``name`` and a MAP fit to ``n`` of its observations: the
+    initial design plus a Sobol' fill, as the benchmark's fixtures."""
     prob = get_problem(name)
-    bounds, c, d = prob.bounds, prob.c, prob.dim
     Y, v = initial_design(prob, seed=1)
-    fill = _box(bounds, n - len(v), 2)
-    state = fit_map(np.vstack([Y, fill]), np.append(v, prob.evaluate(fill)), bounds, seed=3)
+    fill = _box(prob.bounds, n - len(v), 2)
+    state = fit_map(np.vstack([Y, fill]), np.append(v, prob.evaluate(fill)), prob.bounds, seed=3)
+    return prob, state
+
+
+def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
+    """The hot-path outputs on the fixture :func:`fitted` gives."""
+    prob, state = fitted(name, n)
+    bounds, c, d = prob.bounds, prob.c, prob.dim
     pts = _box(bounds, 2048, 4)
     y = pts[5]
     path = state.draw_rff_path(1024, seed=6)
@@ -165,6 +176,44 @@ def test_trace_digests_match_golden():
 
 def test_hot_path_digests_match_golden():
     assert hot_path_digests() == golden_entry()["hot_path"]
+
+
+def test_hot_path_digests_match_golden_at_one_blas_thread():
+    # The key records no thread count, and blocked batches make many small
+    # threaded BLAS calls: the digests must not depend on how they split.
+    want = golden_entry()["hot_path"]
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    code = "import json, test_golden; print(json.dumps(test_golden.hot_path_digests()))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(run.stdout) == want
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_default_blocks_equal_one_block_bytewise(name, monkeypatch):
+    # Checked where the digests were made, at the fixtures' widths: smaller
+    # blocks (2^15 elements) do move the hartmann-6d bytes.
+    golden_entry()
+    prob, state = fitted(name, FIXTURES[name])
+    bounds = prob.bounds
+    pts = _box(bounds, 4096, 4)  # several blocks at the default budget
+    path = state.draw_rff_path(1024, seed=6)
+    u_stream = SobolStream(gaussian_stream_dim(prob.dim), scramble_seed=7)
+    sample = draw_is_sample(prob.perturb, prob.default_tau, 1024, u_stream)
+    grid = (sample, bounds, smoothing_width(bounds), prob.c)
+    calls = {
+        "posterior": lambda: state.posterior(pts),
+        "posterior_with_grad": lambda: state.posterior_with_grad(pts),
+        "cross_cov_with_grad": lambda: state.cross_cov_with_grad(pts, pts[5]),
+        "rff.evaluate": lambda: (path.evaluate(pts),),
+        "estimate_pn_batch": lambda: (estimate_pn_batch(state, _box(bounds, 64, 8), *grid),),
+    }
+    blocked = {key: _digest(*fn()) for key, fn in calls.items()}
+    monkeypatch.setattr(numerics, "ELEMENT_BUDGET", 2**24)  # one block
+    assert {key: _digest(*fn()) for key, fn in calls.items()} == blocked
 
 
 if __name__ == "__main__":

@@ -27,8 +27,10 @@ from relbo.harness import (
     run_experiment,
     trace_is_complete,
 )
-from relbo.problems import get_problem
-from relbo.reliability import smooth_feasibility
+from relbo.numerics import SobolStream
+from relbo.problems import Problem, get_problem
+from relbo.reliability import PerturbationModel, smooth_feasibility
+from relbo.surrogate import fit_map
 
 CONFIG_TEXT = """\
 [problem]
@@ -259,6 +261,27 @@ class TestRecommend:
         ]
         (i,) = np.flatnonzero(np.all(cands == x_rec, axis=1))
         assert mass[i] == pytest.approx(max(mass), rel=1e-12)
+
+    def test_unreachable_threshold_falls_back_to_the_first_candidate(self, caplog):
+        # In a box 10^4 wide no candidate's perturbations reach the smoothing
+        # band (delta = 0.1), so iota = 1 at every perturbed point, and with c
+        # far above the surrogate log Phi(h) = -inf there: every candidate's
+        # log P is -inf. Each then keeps the same in-box mass, so the first
+        # candidate is returned.
+        bounds = np.array([[0.0, 1e4], [0.0, 1e4]])
+        prob = Problem(
+            "far-threshold", 2, bounds, 1e300, PerturbationModel(np.full(2, 0.01)), n_0=6,
+            eps_s=0.01 * np.sqrt(2e8), delta_band=0.01, mode="extreme",
+            _fn=lambda Y: np.sin(Y[:, 0] / 2e3) + Y[:, 1] / 1e4,
+        )
+        Y = bounds[:, 0] + SobolStream(2, scramble_seed=3).take(12) * 1e4
+        state = fit_map(Y, prob.evaluate(Y), bounds, seed=0)
+        with caplog.at_level(logging.WARNING, logger="relbo.harness"):
+            x_rec, p_hat = recommend(state, prob, seed=2)
+        assert p_hat == 0.0
+        assert any("zero estimated probability" in r.message for r in caplog.records)
+        first = SobolStream(2, scramble_seed=_child_seed(2, 2)).take(1)[0] * 1e4
+        np.testing.assert_array_equal(x_rec, first)
 
 
 class TestTraceIO:

@@ -398,13 +398,13 @@ class TestValueOnlyScan:
         np.testing.assert_array_equal(log_p, np.full(len(xs), log_mean_w))
         assert abs(log_mean_w - np.log(np.mean(np.exp(sample.log_weights)))) < 1e-12
 
-    @pytest.mark.parametrize("budget", [numerics.ELEMENT_BUDGET, 2**10])
+    @pytest.mark.parametrize("budget", [numerics.ELEMENT_BUDGET, 2**21, 2**10])
     def test_posterior_of_kept_rows_is_a_gather(
         self, branin_state, branin_problem, hartmann_state, monkeypatch, budget
     ):
         # The value-only scan's bytes rest on this: each row of the posterior
         # does not depend on the rows evaluated with it.
-        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", budget)  # 2^10: many blocks
+        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", budget)  # 2^21: one block; 2^10: many
         for st, prob in ((branin_state, branin_problem), (hartmann_state, get_problem("hartmann-6d"))):
             xs, sample, delta = self.grid(prob, 0.0)
             pts = perturbed_grid(xs, sample)
@@ -412,6 +412,25 @@ class TestValueOnlyScan:
             assert 0 < np.count_nonzero(sel) < len(pts)
             for whole, kept in zip(st.posterior(pts), st.posterior(pts[sel]), strict=True):
                 assert whole[sel].tobytes() == kept.tobytes()
+
+    def test_candidate_scan_memory_is_bounded(self, hartmann_state):
+        # recommend's coarse scan on hartmann-6d: 1024 candidates x 1024
+        # perturbations. Built whole, the perturbed grid and the temporaries
+        # over it take 296 MiB; over blocks of candidates the peak is 2.3 MiB.
+        prob = get_problem("hartmann-6d")
+        sample = draw_is_sample(prob.perturb, prob.default_tau, 1024, u_stream(6, seed=1))
+        span = prob.bounds[:, 1] - prob.bounds[:, 0]
+        xs = prob.bounds[:, 0] + SobolStream(6, scramble_seed=2).take(1024) * span
+        tracemalloc.start()
+        try:
+            log_p = estimate_pn_batch(
+                hartmann_state, xs, sample, prob.bounds, smoothing_width(prob.bounds), prob.c
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log_p.shape == (1024,) and np.all(np.isfinite(log_p))
+        assert peak < 16 * 2**20
 
 
 class TestLogMeanWj:

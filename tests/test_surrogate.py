@@ -14,7 +14,7 @@ from relbo.acquisition import _fantasy_log_p
 from relbo.harness import initial_design
 from relbo.numerics import SobolStream
 from relbo.problems import get_problem
-from relbo.reliability import ISSample
+from relbo.reliability import ISSample, draw_is_sample, estimate_pn_batch, smoothing_width
 from relbo.surrogate import (
     NOISE_VARIANCE,
     GPHyperparams,
@@ -322,11 +322,11 @@ class TestFusedPass:
         A, B = rng.uniform(size=(300, d)), rng.uniform(size=(40, d))
         np.testing.assert_array_equal(matern52_grad_a(A, B, hp), broadcast_grad_a(A, B, hp))
 
-    @pytest.mark.parametrize("budget", [numerics.ELEMENT_BUDGET, 2**10])
+    @pytest.mark.parametrize("budget", [numerics.ELEMENT_BUDGET, 2**21, 2**10])
     def test_posterior_with_grad_shares_mean_and_variance(
         self, branin_state, noiseless_state, monkeypatch, budget
     ):
-        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", budget)  # 2^10: many blocks
+        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", budget)  # 2^21: one block; 2^10: many
         for st in (branin_state, noiseless_state):
             pts = np.vstack([st.train_inputs, box_points(st, 300, 2)])
             for batch in (pts, pts[:1], pts[-1:]):  # one row: a matrix-vector product
@@ -393,23 +393,29 @@ class TestBlocks:
     """Batches larger than one block agree with a single pass over them."""
 
     def blocked_and_whole(self, monkeypatch, fn):
+        blocked = fn()  # the default budget
+        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", 2**24)  # one block
         whole = fn()
-        monkeypatch.setattr(numerics, "ELEMENT_BUDGET", 2**16)
-        blocked = fn()
         monkeypatch.undo()
         return blocked, whole
 
     @pytest.mark.parametrize("m", [3000, 4096])
-    def test_posterior_calls(self, branin_state, monkeypatch, m):
+    def test_posterior_calls(self, branin_state, branin_problem, monkeypatch, m):
+        prob = branin_problem
         pts = box_points(branin_state, m, 6)
         y = np.array([1.0, 4.0])
         path = branin_state.draw_rff_path(512, seed=4)
+        u = SobolStream(2, scramble_seed=5)
+        sample = draw_is_sample(prob.perturb, prob.default_tau, 1024, u)
+        grid = (sample, prob.bounds, smoothing_width(prob.bounds), prob.c)
+        assert numerics.ELEMENT_BUDGET // (len(sample) * 2) < 80  # candidates per block
         for fn in (
             lambda: branin_state.posterior(pts),
             lambda: branin_state.posterior_with_grad(pts),
             lambda: branin_state.cross_cov_with_grad(pts, y),
             lambda: (path.evaluate(pts),),
             lambda: path.evaluate_with_grad(pts),
+            lambda: (estimate_pn_batch(branin_state, pts[:80], *grid),),
         ):
             blocked, whole = self.blocked_and_whole(monkeypatch, fn)
             for got, want in zip(blocked, whole, strict=True):
