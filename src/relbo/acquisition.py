@@ -46,29 +46,37 @@ log = logging.getLogger(__name__)
 _U_DRAW = 64
 # hc's rule LS runs DIRECT with this many evaluations per dimension.
 _DIRECT_BUDGET_PER_DIM = 200
+# ts_mr smooths the path's threshold indicator as Phi((path - c) / _RHO),
+# _RHO in output units.
+_RHO = 0.01
+# egra's band is _KAPPA posterior standard deviations wide (Bichon et al. 2008).
+_KAPPA = 2.0
 
 
 @dataclass
 class AcquisitionSpec:
-    """Strategy choice plus the shared sample-size and smoothing knobs; the
-    problem sets tau, the value function and the cascade's eps_s/delta_band."""
+    """Strategy choice plus the shared sample sizes; the problem sets tau,
+    the value function and the cascade's eps_s/delta_band, and ts_mr's
+    smoothing width and egra's band are the constants _RHO and _KAPPA."""
 
     kind: str
-    n_u: int = 64  # qMC importance-sample size
+    n_u: int = 64  # qMC importance-sample size, a power of two
     n_v: int = 64  # fantasy count for the knowledge gradient
     n_x: int = 512  # discretization size
-    rho: float = 0.01  # Thompson threshold-smoothing width
-    kappa: float = 2.0  # expected-feasibility band width
     n_raw: int | None = None  # candidate scan size (None: 512 if d<=2 else 1024)
     n_restarts: int = 10
 
     def __post_init__(self):
         if self.kind not in _strategies():
             raise ValueError(f"unknown acquisition kind {self.kind!r}")
-        if min(self.n_u, self.n_v, self.n_x, self.n_restarts) < 1:
-            raise ValueError("sample sizes must be positive")
-        if not (self.rho > 0 and self.kappa > 0):
-            raise ValueError("rho and kappa must be positive")
+        sizes = dict(n_u=self.n_u, n_v=self.n_v, n_x=self.n_x, n_restarts=self.n_restarts,
+                     n_raw=1 if self.n_raw is None else self.n_raw)
+        for name, value in sizes.items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        # Importance samples are qMC sets whose balance needs a power of two.
+        if self.n_u & (self.n_u - 1):
+            raise ValueError(f"n_u must be a power of two, got {self.n_u}")
         if self.kind == "ts_mr" and self.n_restarts > 2 * _U_DRAW + 1:
             raise ValueError(
                 f"ts_mr's n_restarts must be <= its {2 * _U_DRAW + 1} perturbation candidates"
@@ -216,13 +224,13 @@ def ts_mr_next(ctx: AcqContext):
     # Stage 1: nominal design minimizing the path's log failure probability.
     cands = _raw_candidates(ctx)
     cand_vals = -estimate_ptilde_batch(
-        path, cands, is_sample, bounds, delta, problem.c, spec.rho
+        path, cands, is_sample, bounds, delta, problem.c, _RHO
     )
     starts = boltzmann_restarts(cands, cand_vals, spec.n_restarts, streams.restart_seed)
 
     x_objective = partial(
         estimate_ptilde, path, is_sample=is_sample, bounds=bounds, delta=delta, c=problem.c,
-        rho=spec.rho,
+        rho=_RHO,
     )
     x_next, _, _ = multistart_qn(x_objective, bounds, starts)
 
@@ -616,11 +624,11 @@ def expected_feasibility(mean, sd, c, kappa, dmean=None, dsd=None):
 
 def egra_next(ctx: AcqContext):
     """Maximize the expected feasibility of the limit-state band."""
-    state, c, kappa = ctx.state, ctx.problem.c, ctx.spec.kappa
+    state, c = ctx.state, ctx.problem.c
 
     def score(ys, want_grad):
         mean, sd, dmean, dsd = _marginal_sd(state, ys, want_grad)
-        return expected_feasibility(mean, sd, c, kappa, dmean, dsd)
+        return expected_feasibility(mean, sd, c, _KAPPA, dmean, dsd)
 
     y_next, val, _ = _maximize(score, ctx)
     return y_next, AcqDiagnostics(value=float(val), rule="egra")

@@ -40,7 +40,7 @@ def _cmd_score(args):
         if row["phase"] != "iter" or row.get("x_rec_1") is None:
             continue
         x = np.array([row[f"x_rec_{j + 1}"] for j in range(problem.dim)])
-        p = evaluate_true_failure(problem, x, n_u=args.n_u, tau=args.tau)
+        p = evaluate_true_failure(problem, x, n_u=args.n_u)
         print(f"{row['n']},{p:.17g}")
     return 0
 
@@ -99,7 +99,6 @@ def main(argv=None) -> int:
     p_score.add_argument("--problem", required=True)
     p_score.add_argument("--mode", default="extreme")
     p_score.add_argument("--n-u", type=int, default=2**20)
-    p_score.add_argument("--tau", type=float, default=None)
     p_score.set_defaults(func=_cmd_score)
 
     p_rep = sub.add_parser("report", help="aggregate traces into plots")

@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .acquisition import AcqContext, AcquisitionSpec, IterationStreams, next_point
-from .numerics import SobolStream, gaussian_stream_dim, in_blocks
+from .numerics import SobolStream, gaussian_stream_dim
 from .optimizers import boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
 from .reliability import (
@@ -29,8 +29,6 @@ from .reliability import (
     estimate_pn,
     estimate_pn_batch,
     evaluate_true_failure,
-    perturbed_grid,
-    smooth_feasibility,
     smoothing_width,
 )
 from .surrogate import fit_map
@@ -66,14 +64,10 @@ class ExperimentConfig:
             )
         spec, n_raw = self.acquisition, self.acquisition.raw_count(prob.dim)
         # Importance samples are qMC sets whose balance needs a power of two.
-        qmc_sizes = {
-            "n_u": spec.n_u, "rec_n_u_coarse": self.rec_n_u_coarse,
-            "rec_n_u_fine": self.rec_n_u_fine, "score_n_u": self.score_n_u,
-        }
-        counts = {
-            **qmc_sizes, "n_raw": n_raw, "repeats": self.repeats,
-            "rec_restarts": self.rec_restarts, "rec_stride": self.rec_stride,
-        }
+        qmc_sizes = dict(rec_n_u_coarse=self.rec_n_u_coarse, rec_n_u_fine=self.rec_n_u_fine,
+                         score_n_u=self.score_n_u)
+        counts = dict(qmc_sizes, repeats=self.repeats, rec_restarts=self.rec_restarts,
+                      rec_stride=self.rec_stride)
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -105,10 +99,7 @@ class ExperimentConfig:
 
 
 # INI key -> AcquisitionSpec type, and [recommendation] key -> config field.
-_SPEC_KEYS = {
-    "n_u": int, "n_v": int, "n_x": int, "rho": float, "kappa": float, "n_raw": int,
-    "n_restarts": int,
-}
+_SPEC_KEYS = {"n_u": int, "n_v": int, "n_x": int, "n_raw": int, "n_restarts": int}
 _REC_KEYS = {
     "restarts": "rec_restarts", "n_u_coarse": "rec_n_u_coarse",
     "n_u_fine": "rec_n_u_fine", "stride": "rec_stride", "score_n_u": "score_n_u",
@@ -122,7 +113,8 @@ _CONFIG_SECTIONS = {
 
 
 def load_config(path, out_dir=None) -> ExperimentConfig:
-    """Parse an INI experiment config; unknown sections or keys are errors."""
+    """Parse an INI experiment config; unknown or missing sections and keys
+    are errors."""
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
@@ -134,6 +126,9 @@ def load_config(path, out_dir=None) -> ExperimentConfig:
             raise ValueError(
                 f"unknown keys in [{section}]: {', '.join(sorted(unknown))}"
             )
+    for section, key in (("problem", "name"), ("acquisition", "kind"), ("budget", "n_tot")):
+        if not (parser.has_section(section) and key in parser[section]):
+            raise ValueError(f"config has no [{section}] {key}")
     prob = parser["problem"]
     acq = parser["acquisition"]
     budget = parser["budget"]
@@ -197,7 +192,8 @@ def recommend(
     Scans Sobol' candidates with a coarse importance sample, Boltzmann-selects
     restarts (argmax always included) and polishes with bounded quasi-Newton;
     for problems of more than two dimensions the winner is re-polished under
-    a much larger sample (the fine stage).
+    a much larger sample (the fine stage). When every candidate's estimate
+    is zero, none is more reliable than another and the first is returned.
 
     Returns (x_rec, p_hat at x_rec).
     """
@@ -211,16 +207,10 @@ def recommend(
     ) * (bounds[:, 1] - bounds[:, 0])
     log_p = estimate_pn_batch(state, cands, sample, bounds, delta, problem.c)
     if np.all(np.isinf(log_p)):
-        # Every candidate has estimated failure probability zero; fall back to
-        # the candidate keeping the most perturbation mass inside the box.
+        # log P = -inf forces iota = 1 at every perturbed point, so every
+        # candidate keeps the same in-box mass mean(w): none is more reliable.
         log.warning("recommend: all candidates at zero estimated probability")
-        w = np.exp(sample.log_weights)
-
-        def mass(xs):  # over blocks of candidates, as estimate_pn_batch
-            iota = smooth_feasibility(perturbed_grid(xs, sample), bounds, delta)
-            return np.mean(w * iota.reshape(len(xs), -1), axis=1)
-
-        return cands[int(np.argmax(in_blocks(mass, cands, len(sample) * d)))], 0.0
+        return cands[0], 0.0
     starts = boltzmann_restarts(cands, -log_p, restarts, _child_seed(seed, 3))
 
     def polish(is_sample, starts, **kwargs):

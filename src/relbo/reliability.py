@@ -113,16 +113,10 @@ def _ramp_grad(z):
     return out
 
 
-def smooth_feasibility(points, bounds, delta: float) -> np.ndarray:
-    """Smoothed box-membership indicator in [0, 1].
-
-    Exactly zero on and outside the box boundary for any delta; delta = 0
-    gives the hard indicator of the box interior.
-    """
-    return _feasibility_parts(points, bounds, delta, want_grad=False)[0]
-
-
 def _feasibility_parts(points, bounds, delta, want_grad):
+    """Smoothed box-membership indicator iota in [0, 1], zero on and outside
+    the boundary (delta = 0: the hard interior indicator), and with
+    ``want_grad`` its (m, d) gradient (None otherwise)."""
     P = np.atleast_2d(np.asarray(points, float))
     bounds = np.asarray(bounds, float)
     a, b = bounds[:, 0], bounds[:, 1]
@@ -341,16 +335,14 @@ def evaluate_true_failure(
     problem,
     x,
     n_u: int = 2**20,
-    tau: float | None = None,
     seed: int = 20_20,
 ) -> float:
     """Ground-truth scoring estimator: importance-weighted qMC with hard
     indicators on the true function. ``problem`` provides evaluate_unchecked,
-    bounds, threshold and perturbation model."""
+    bounds, threshold, perturbation model and importance-sampling scale tau."""
     perturb = problem.perturb
-    tau = problem.default_tau if tau is None else tau
     stream = SobolStream(gaussian_stream_dim(perturb.dim), scramble_seed=seed)
-    sample = draw_is_sample(perturb, tau, n_u, stream)
+    sample = draw_is_sample(perturb, problem.default_tau, n_u, stream)
     x = np.asarray(x, float)
     y_pts = x + sample.points
     bounds = np.asarray(problem.bounds, float)

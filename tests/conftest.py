@@ -1,6 +1,6 @@
 """Shared fixtures, the finite-difference gradient checker, the fantasy
-marginal as the knowledge-gradient strategies compute it and the per-point
-log J of the GP estimator.
+marginal as the knowledge-gradient strategies compute it, the per-point
+log J of the GP estimator and the smoothed box indicator iota.
 
 The checker treats the analytic gradient as the trusted side and finite
 differences as the noisy oracle: for each point it sweeps several central
@@ -18,7 +18,7 @@ from relbo.acquisition import _fantasy_marginal
 from relbo.harness import initial_design
 from relbo.numerics import SobolStream
 from relbo.problems import get_problem
-from relbo.reliability import ISSample, estimate_pn_batch
+from relbo.reliability import ISSample, _feasibility_parts, estimate_pn_batch
 from relbo.surrogate import GPHyperparams, SurrogateState, Transforms, fit_map
 
 FD_STEP_SCALES = (1e-4, 1e-5, 1e-6, 1e-7)
@@ -76,6 +76,12 @@ def log_j_at(state, pts, bounds, delta, c):
     pts = np.atleast_2d(np.asarray(pts, float))
     origin = ISSample(np.zeros((1, pts.shape[1])), np.zeros(1))
     return estimate_pn_batch(state, pts, origin, bounds, delta, c)
+
+
+def smooth_feasibility(points, bounds, delta):
+    """The smoothed box-membership indicator iota of each point, as the
+    estimators form it."""
+    return _feasibility_parts(points, bounds, delta, False)[0]
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from scipy.special import log_ndtr
 
 import relbo.acquisition as acquisition
 import relbo.reliability as reliability
-from conftest import fd_gradient_error
+from conftest import fd_gradient_error, smooth_feasibility
 from reference import kg_discrete_value
 from relbo.acquisition import (
     AcqContext,
@@ -37,12 +37,7 @@ from relbo.harness import _child_seed, initial_design
 from relbo.numerics import SobolStream, gaussian_qmc, gaussian_stream_dim
 from relbo.optimizers import multistart_qn
 from relbo.problems import Problem, get_problem, make_gp_problem
-from relbo.reliability import (
-    PerturbationModel,
-    draw_is_sample,
-    smooth_feasibility,
-    smoothing_width,
-)
+from relbo.reliability import PerturbationModel, draw_is_sample, smoothing_width
 from relbo.surrogate import GPHyperparams, fit_map, prior_state
 
 SMALL = dict(n_u=32, n_v=8, n_x=128, n_raw=64, n_restarts=4)
@@ -99,7 +94,7 @@ class TestSpecAndStreams:
     def test_defaults(self):
         spec = AcquisitionSpec("ei")
         assert (spec.n_u, spec.n_v, spec.n_x) == (64, 64, 512)
-        assert (spec.rho, spec.kappa) == (0.01, 2.0)
+        assert (acquisition._RHO, acquisition._KAPPA) == (0.01, 2.0)
 
     def test_raw_count_dimension_default(self):
         spec = AcquisitionSpec("ei")
@@ -108,11 +103,22 @@ class TestSpecAndStreams:
         assert AcquisitionSpec("ei", n_raw=99).raw_count(6) == 99
 
     @pytest.mark.parametrize(
+        "kind, key, value",
+        [("ts_mr", "n_u", 48), ("ei", "n_raw", 0), ("kg_mr_discrete", "n_raw", -1)],
+    )
+    def test_bad_sample_sizes_rejected_at_construction(self, kind, key, value):
+        # Not only at the first acquisition, in draw_is_sample or SobolStream.take.
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            AcquisitionSpec(kind, **{key: value})
+
+    @pytest.mark.parametrize(
         "key, value", [("rho", 0.0), ("rho", -0.01), ("rho", np.nan), ("kappa", 0.0),
                        ("kappa", -2.0)],
     )
     def test_bad_smoothing_and_cascade_knobs_rejected(self, key, value):
-        with pytest.raises(ValueError, match=key):
+        # ts_mr's smoothing width and egra's band are the constants _RHO and
+        # _KAPPA; a spec cannot carry another value, bad or not.
+        with pytest.raises(TypeError, match=key):
             AcquisitionSpec("hc", **{key: value})
 
     def test_ts_mr_restarts_within_perturbation_candidates(self):

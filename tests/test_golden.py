@@ -28,7 +28,13 @@ import numpy as np
 import pytest
 
 from relbo import numerics
-from relbo.acquisition import AcquisitionSpec, _FantasyScan, _strategies, oneshot_objective
+from relbo.acquisition import (
+    _RHO,
+    AcquisitionSpec,
+    _FantasyScan,
+    _strategies,
+    oneshot_objective,
+)
 from relbo.harness import (
     ExperimentConfig,
     environment_fingerprint,
@@ -114,7 +120,6 @@ def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
     sample = draw_is_sample(prob.perturb, prob.default_tau, 32, u_stream)
     xs = _box(bounds, 64, 8)
     z = gaussian_qmc(SobolStream(2, scramble_seed=9), 8, np.ones(1))[:, 0]
-    spec = AcquisitionSpec("kg_mr_discrete", **SMALL)
     scan = _FantasyScan(state, _box(bounds, 128, 10), z, sample, bounds, c, prob.use_log)
     grid = (sample, bounds, smoothing_width(bounds), c)
     out = {
@@ -124,9 +129,9 @@ def hot_path_outputs(name: str, n: int) -> dict[str, tuple]:
         "rff.evaluate": (path.evaluate(pts),),
         "rff.evaluate_with_grad": path.evaluate_with_grad(pts),
         "estimate_pn": sum((estimate_pn(state, x, *grid) for x in xs[:4]), ()),
-        "estimate_ptilde": sum((estimate_ptilde(path, x, *grid, spec.rho) for x in xs[:4]), ()),
+        "estimate_ptilde": sum((estimate_ptilde(path, x, *grid, _RHO) for x in xs[:4]), ()),
         "estimate_pn_batch": (estimate_pn_batch(state, xs, *grid),),
-        "estimate_ptilde_batch": (estimate_ptilde_batch(path, xs, *grid, spec.rho),),
+        "estimate_ptilde_batch": (estimate_ptilde_batch(path, xs, *grid, _RHO),),
         "fantasy_scan": (scan.scan(xs[:8]),),
         "oneshot_objective": oneshot_objective(
             state, np.concatenate([y, xs[:8].ravel()]), z, *grid, True

@@ -27,9 +27,16 @@ from relbo.harness import (
     run_experiment,
     trace_is_complete,
 )
-from relbo.numerics import SobolStream
+from conftest import smooth_feasibility
+from relbo.numerics import SobolStream, gaussian_stream_dim
 from relbo.problems import Problem, get_problem
-from relbo.reliability import PerturbationModel, smooth_feasibility
+from relbo.reliability import (
+    PerturbationModel,
+    draw_is_sample,
+    estimate_pn_batch,
+    perturbed_grid,
+    smoothing_width,
+)
 from relbo.surrogate import fit_map
 
 CONFIG_TEXT = """\
@@ -117,9 +124,11 @@ class TestConfig:
         assert cfg.mode == "non_extreme"
 
     @pytest.mark.parametrize("key, value", [("tau", 1.0), ("use_log", "false"),
-                                            ("eps_s", 0.01), ("delta_band", 0.1)])
+                                            ("eps_s", 0.01), ("delta_band", 0.1),
+                                            ("rho", 0.01), ("kappa", 2.0)])
     def test_regime_and_cascade_keys_rejected(self, tmp_path, key, value):
-        # The problem and its mode set these; an INI file cannot override them.
+        # The problem and its mode set these, and ts_mr's smoothing width and
+        # egra's band are constants; an INI file cannot override them.
         with pytest.raises(ValueError, match=f"unknown keys in \\[acquisition\\]: {key}"):
             load_config(config_with(tmp_path, "acquisition", key, value))
 
@@ -201,10 +210,27 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [("rho", 0), ("kappa", -1)])
     def test_bad_smoothing_and_cascade_knobs_rejected(self, tmp_path, key, value):
-        # rho = 0 would otherwise load, write the initial design and only
-        # divide by zero in Phi((path - c) / rho) at the first acquisition.
+        # rho = 0 once loaded and only divided by zero in Phi((path - c) / rho)
+        # at the first acquisition; neither knob is an INI key any more.
         with pytest.raises(ValueError, match=key):
             load_config(config_with(tmp_path, "acquisition", key, value))
+
+    @pytest.mark.parametrize("whole_section", [False, True])
+    @pytest.mark.parametrize(
+        "section, key", [("problem", "name"), ("acquisition", "kind"), ("budget", "n_tot")]
+    )
+    def test_missing_required_key_named(self, tmp_path, section, key, whole_section):
+        # Not a bare KeyError from configparser.
+        parser = configparser.ConfigParser()
+        parser.read_string(CONFIG_TEXT)
+        if whole_section:
+            parser.remove_section(section)
+        else:
+            parser.remove_option(section, key)
+        with open(tmp_path / "exp.ini", "w") as fh:
+            parser.write(fh)
+        with pytest.raises(ValueError, match=f"no \\[{section}\\] {key}"):
+            load_config(tmp_path / "exp.ini")
 
 
 class TestSeeds:
@@ -228,6 +254,20 @@ class TestInitialDesign:
         assert not np.array_equal(pts, pts3)
 
 
+@pytest.fixture(scope="class")
+def far_threshold():
+    """A problem 10^4 wide whose threshold c = 1e300 no surrogate reaches,
+    and a fit to 12 of its points."""
+    bounds = np.array([[0.0, 1e4], [0.0, 1e4]])
+    prob = Problem(
+        "far-threshold", 2, bounds, 1e300, PerturbationModel(np.full(2, 0.01)), n_0=6,
+        eps_s=0.01 * np.sqrt(2e8), delta_band=0.01, mode="extreme",
+        _fn=lambda Y: np.sin(Y[:, 0] / 2e3) + Y[:, 1] / 1e4,
+    )
+    Y = bounds[:, 0] + SobolStream(2, scramble_seed=3).take(12) * 1e4
+    return prob, fit_map(Y, prob.evaluate(Y), bounds, seed=0)
+
+
 class TestRecommend:
     def test_quadratic_recommendation_near_optimum(self, quadratic_state, quadratic_problem):
         x_rec, p_hat = recommend(quadratic_state, quadratic_problem, seed=0)
@@ -239,49 +279,42 @@ class TestRecommend:
         assert np.all(x_rec >= branin_problem.bounds[:, 0])
         assert np.all(x_rec <= branin_problem.bounds[:, 1])
 
-    def test_all_zero_estimates_fall_back_to_most_in_box_mass(
-        self, branin_state, branin_problem, monkeypatch, caplog
+    def test_unreachable_threshold_falls_back_to_the_first_candidate(
+        self, far_threshold, caplog
     ):
-        scanned = []
-
-        def zero_everywhere(state, xs, is_sample, bounds, delta, c):
-            scanned.append((xs, is_sample, delta))
-            return np.full(len(xs), -np.inf)
-
-        monkeypatch.setattr(harness, "estimate_pn_batch", zero_everywhere)
-        with caplog.at_level(logging.WARNING, logger="relbo.harness"):
-            x_rec, p_hat = recommend(branin_state, branin_problem, seed=1, n_u_coarse=256)
-        assert p_hat == 0.0
-        assert any("zero estimated probability" in r.message for r in caplog.records)
-        ((cands, sample, delta),) = scanned
-        weights = np.exp(sample.log_weights)
-        mass = [
-            np.mean(weights * smooth_feasibility(x + sample.points, branin_problem.bounds, delta))
-            for x in cands
-        ]
-        (i,) = np.flatnonzero(np.all(cands == x_rec, axis=1))
-        assert mass[i] == pytest.approx(max(mass), rel=1e-12)
-
-    def test_unreachable_threshold_falls_back_to_the_first_candidate(self, caplog):
         # In a box 10^4 wide no candidate's perturbations reach the smoothing
         # band (delta = 0.1), so iota = 1 at every perturbed point, and with c
         # far above the surrogate log Phi(h) = -inf there: every candidate's
         # log P is -inf. Each then keeps the same in-box mass, so the first
         # candidate is returned.
-        bounds = np.array([[0.0, 1e4], [0.0, 1e4]])
-        prob = Problem(
-            "far-threshold", 2, bounds, 1e300, PerturbationModel(np.full(2, 0.01)), n_0=6,
-            eps_s=0.01 * np.sqrt(2e8), delta_band=0.01, mode="extreme",
-            _fn=lambda Y: np.sin(Y[:, 0] / 2e3) + Y[:, 1] / 1e4,
-        )
-        Y = bounds[:, 0] + SobolStream(2, scramble_seed=3).take(12) * 1e4
-        state = fit_map(Y, prob.evaluate(Y), bounds, seed=0)
+        prob, state = far_threshold
         with caplog.at_level(logging.WARNING, logger="relbo.harness"):
             x_rec, p_hat = recommend(state, prob, seed=2)
         assert p_hat == 0.0
         assert any("zero estimated probability" in r.message for r in caplog.records)
         first = SobolStream(2, scramble_seed=_child_seed(2, 2)).take(1)[0] * 1e4
         np.testing.assert_array_equal(x_rec, first)
+
+    def test_zero_estimate_exactly_where_iota_is_one_at_every_perturbed_point(
+        self, far_threshold
+    ):
+        # The premise of the fallback above: log P = -inf needs iota = 1 at
+        # every perturbed point, since J >= 1 - iota > 0 wherever iota < 1.
+        # Candidates within delta of an edge, just beyond it (some perturbed
+        # points in the band) and in the interior.
+        prob, state = far_threshold
+        delta = smoothing_width(prob.bounds)
+        stream = SobolStream(gaussian_stream_dim(2), scramble_seed=5)
+        sample = draw_is_sample(prob.perturb, prob.default_tau, 1024, stream)
+        edge = [0.0, 0.5 * delta, delta, delta + 0.02, 1e4 - 0.5 * delta]
+        inner = [delta + 0.5, 2.5e3, 5e3, 1e4 - delta - 0.5]
+        xs = np.array([[a, 5e3] for a in edge + inner] + [[5e3, 0.5 * delta]])
+        log_p = estimate_pn_batch(state, xs, sample, prob.bounds, delta, prob.c)
+        iota = smooth_feasibility(perturbed_grid(xs, sample), prob.bounds, delta)
+        all_one = np.all(iota.reshape(len(xs), -1) == 1.0, axis=1)
+        np.testing.assert_array_equal(np.isneginf(log_p), all_one)
+        np.testing.assert_array_equal(all_one, [False] * len(edge) + [True] * len(inner) + [False])
+        assert np.all(np.isfinite(log_p[~all_one]))
 
 
 class TestTraceIO:

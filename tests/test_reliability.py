@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, gammainc, logsumexp
 
-from conftest import fd_gradient_error, log_j_at
+from conftest import fd_gradient_error, log_j_at, smooth_feasibility
 from relbo import numerics
 from relbo.acquisition import AcqContext, AcquisitionSpec, IterationStreams, ts_mr_next
 from relbo.numerics import SobolStream, gaussian_stream_dim
@@ -26,7 +26,6 @@ from relbo.reliability import (
     _ramp,
     log_mean_wj,
     perturbed_grid,
-    smooth_feasibility,
     smoothing_width,
 )
 from relbo.surrogate import GPHyperparams, RFFPath, SurrogateState, prior_state
@@ -579,7 +578,7 @@ class TestEvaluateTrueFailure:
     def test_quadratic_against_brute_monte_carlo(self, quadratic_problem):
         prob = quadratic_problem
         x = np.array([0.3, 0.3])
-        est = evaluate_true_failure(prob, x, n_u=2**20, tau=3.0)
+        est = evaluate_true_failure(prob, x, n_u=2**20)  # tau = 3: extreme mode
         rng = np.random.default_rng(99)
         n_mc = 2**22
         u = rng.normal(scale=prob.perturb.sigmas, size=(n_mc, 2))
