@@ -20,6 +20,7 @@ import numpy as np
 
 from .numerics import (
     SobolStream,
+    check_sizes,
     gaussian_qmc,
     gaussian_stream_dim,
     std_normal_cdf,
@@ -69,14 +70,8 @@ class AcquisitionSpec:
     def __post_init__(self):
         if self.kind not in _strategies():
             raise ValueError(f"unknown acquisition kind {self.kind!r}")
-        sizes = dict(n_u=self.n_u, n_v=self.n_v, n_x=self.n_x, n_restarts=self.n_restarts,
-                     n_raw=1 if self.n_raw is None else self.n_raw)
-        for name, value in sizes.items():
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        # Importance samples are qMC sets whose balance needs a power of two.
-        if self.n_u & (self.n_u - 1):
-            raise ValueError(f"n_u must be a power of two, got {self.n_u}")
+        check_sizes(dict(n_u=self.n_u, n_v=self.n_v, n_x=self.n_x, n_restarts=self.n_restarts,
+                         n_raw=1 if self.n_raw is None else self.n_raw), qmc=("n_u",))
         if self.kind == "ts_mr" and self.n_restarts > 2 * _U_DRAW + 1:
             raise ValueError(
                 f"ts_mr's n_restarts must be <= its {2 * _U_DRAW + 1} perturbation candidates"

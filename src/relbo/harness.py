@@ -13,7 +13,7 @@ import logging
 import os
 import platform
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .acquisition import AcqContext, AcquisitionSpec, IterationStreams, next_point
-from .numerics import SobolStream, gaussian_stream_dim
+from .numerics import SobolStream, check_sizes, gaussian_stream_dim
 from .optimizers import boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
 from .reliability import (
@@ -58,24 +58,16 @@ class ExperimentConfig:
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
         prob = get_problem(self.problem, self.mode)
-        if prob.n_0 > self.n_tot:
-            raise ValueError(
-                f"initial design size {prob.n_0} exceeds budget {self.n_tot}"
-            )
+        if self.n_tot <= prob.n_0:
+            raise ValueError(f"n_tot {self.n_tot} must exceed the initial design's "
+                             f"n_0 {prob.n_0}, or no BO iteration runs")
         spec, n_raw = self.acquisition, self.acquisition.raw_count(prob.dim)
-        # Importance samples are qMC sets whose balance needs a power of two.
-        qmc_sizes = dict(rec_n_u_coarse=self.rec_n_u_coarse, rec_n_u_fine=self.rec_n_u_fine,
-                         score_n_u=self.score_n_u)
-        counts = dict(qmc_sizes, repeats=self.repeats, rec_restarts=self.rec_restarts,
-                      rec_stride=self.rec_stride)
-        for name, value in counts.items():
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        for name, value in qmc_sizes.items():
-            if value & (value - 1):
-                raise ValueError(f"{name} must be a power of two, got {value}")
+        check_sizes(dict(rec_n_u_coarse=self.rec_n_u_coarse, rec_n_u_fine=self.rec_n_u_fine,
+                         score_n_u=self.score_n_u, repeats=self.repeats,
+                         rec_restarts=self.rec_restarts, rec_stride=self.rec_stride),
+                    qmc=("rec_n_u_coarse", "rec_n_u_fine", "score_n_u"))
         if spec.n_restarts > n_raw:
             raise ValueError(
                 f"n_restarts {spec.n_restarts} exceeds the {n_raw} candidates "
@@ -98,58 +90,47 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# INI key -> AcquisitionSpec type, and [recommendation] key -> config field.
-_SPEC_KEYS = {"n_u": int, "n_v": int, "n_x": int, "n_raw": int, "n_restarts": int}
-_REC_KEYS = {
-    "restarts": "rec_restarts", "n_u_coarse": "rec_n_u_coarse",
-    "n_u_fine": "rec_n_u_fine", "stride": "rec_stride", "score_n_u": "score_n_u",
-}
-_CONFIG_SECTIONS = {
-    "problem": {"name", "mode"},
-    "acquisition": {"kind", *_SPEC_KEYS},
-    "budget": {"n_tot", "repeats", "base_seed"},
-    "recommendation": {"record_timing", *_REC_KEYS},
+# INI section -> {key: the ExperimentConfig field it sets, or under
+# [acquisition] the AcquisitionSpec field}. Defaults, and which keys are
+# required, come from the dataclasses alone.
+_INI = {
+    "problem": {"name": "problem", "mode": "mode"},
+    "acquisition": {k: k for k in ("kind", "n_u", "n_v", "n_x", "n_raw", "n_restarts")},
+    "budget": {k: k for k in ("n_tot", "repeats", "base_seed")},
+    "recommendation": {
+        "restarts": "rec_restarts", "n_u_coarse": "rec_n_u_coarse",
+        "n_u_fine": "rec_n_u_fine", "stride": "rec_stride", "score_n_u": "score_n_u",
+        "record_timing": "record_timing",
+    },
 }
 
 
 def load_config(path, out_dir=None) -> ExperimentConfig:
     """Parse an INI experiment config; unknown or missing sections and keys
-    are errors."""
+    are errors. Only the keys present are passed on."""
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
     for section in parser.sections():
-        if section not in _CONFIG_SECTIONS:
+        if section not in _INI:
             raise ValueError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _CONFIG_SECTIONS[section]
+        unknown = set(parser[section]) - set(_INI[section])
         if unknown:
-            raise ValueError(
-                f"unknown keys in [{section}]: {', '.join(sorted(unknown))}"
-            )
-    for section, key in (("problem", "name"), ("acquisition", "kind"), ("budget", "n_tot")):
-        if not (parser.has_section(section) and key in parser[section]):
-            raise ValueError(f"config has no [{section}] {key}")
-    prob = parser["problem"]
-    acq = parser["acquisition"]
-    budget = parser["budget"]
-    rec = parser["recommendation"] if parser.has_section("recommendation") else {}
-
-    kwargs = {name: int(rec[k]) for k, name in _REC_KEYS.items() if k in rec}
-    if "record_timing" in rec:
-        kwargs["record_timing"] = parser["recommendation"].getboolean("record_timing")
+            raise ValueError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+    required = {f.name for cls in (ExperimentConfig, AcquisitionSpec)
+                for f in fields(cls) if f.default is MISSING}
+    kwargs, spec = {}, {}
+    for section, keys in _INI.items():
+        for key, name in keys.items():
+            if parser.has_option(section, key):
+                get = {"name": parser.get, "mode": parser.get, "kind": parser.get,
+                       "record_timing": parser.getboolean}.get(key, parser.getint)
+                (spec if section == "acquisition" else kwargs)[name] = get(section, key)
+            elif name in required:
+                raise ValueError(f"config has no [{section}] {key}")
     if out_dir is not None:
         kwargs["out_dir"] = Path(out_dir)
-    return ExperimentConfig(
-        problem=prob["name"],
-        acquisition=AcquisitionSpec(
-            acq["kind"], **{k: cast(acq[k]) for k, cast in _SPEC_KEYS.items() if k in acq}
-        ),
-        n_tot=int(budget["n_tot"]),
-        repeats=int(budget.get("repeats", 1)),
-        base_seed=int(budget.get("base_seed", 0)),
-        mode=prob.get("mode", "extreme"),
-        **kwargs,
-    )
+    return ExperimentConfig(acquisition=AcquisitionSpec(**spec), **kwargs)
 
 
 # -- seed discipline -------------------------------------------------------

@@ -16,7 +16,6 @@ from scipy import special
 from scipy.stats import qmc
 
 MAX_SOBOL_DIM = 64
-_MAX_CURSOR = 2**31
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,7 +43,6 @@ class SobolStream:
             )
         self.dimension = dimension
         self.scramble_seed = scramble_seed
-        self.cursor = 0
         if scramble_seed is None:
             self._engine = qmc.Sobol(dimension, scramble=False)
         else:
@@ -57,22 +55,29 @@ class SobolStream:
         points taken next are those ``take`` would have returned after them."""
         if count:
             self._engine.fast_forward(count)
-            self.cursor += count
         return self
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` points, shape (count, dimension), in [0, 1)."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        if self.cursor + count > _MAX_CURSOR:
-            raise ValueError("Sobol stream exhausted")
         with warnings.catch_warnings():
             # scipy warns when count is not a power of two; balance is the
             # caller's concern here.
             warnings.simplefilter("ignore", UserWarning)
-            pts = self._engine.random(count)
-        self.cursor += count
-        return pts
+            return self._engine.random(count)
+
+
+def check_sizes(counts: dict, qmc=()):
+    """Raise ValueError unless every ``{name: count}`` is at least 1 and the
+    counts named in ``qmc``, the sizes of qMC sets, are powers of two: a
+    Sobol' set is balanced only at a power-of-two size."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name in qmc:
+        if counts[name] & (counts[name] - 1):
+            raise ValueError(f"{name} must be a power of two, got {counts[name]}")
 
 
 def box_muller(uniforms: np.ndarray) -> np.ndarray:

@@ -167,11 +167,9 @@ def gp_sample_fn(d: int, seed: int) -> Callable[[np.ndarray], np.ndarray]:
     return path.evaluate
 
 
-def make_gp_problem(d: int, seed: int | None = None, mode: str = "extreme") -> Problem:
+def make_gp_problem(d: int, mode: str = "extreme") -> Problem:
     if d not in _GP_PARAMS:
         raise ValueError(f"GP problems exist for d in {sorted(_GP_PARAMS)}")
-    if seed is None:
-        seed = GP_PROBLEM_SEEDS[d]
     _, c_ext, sigma_ext = _GP_PARAMS[d]
     if mode == "extreme":
         c, sigma = c_ext, sigma_ext
@@ -188,7 +186,7 @@ def make_gp_problem(d: int, seed: int | None = None, mode: str = "extreme") -> P
         eps_s=eps_s,
         delta_band=delta_band,
         mode=mode,
-        _fn=gp_sample_fn(d, seed),
+        _fn=gp_sample_fn(d, GP_PROBLEM_SEEDS[d]),
     )
 
 
@@ -289,16 +287,15 @@ _ANALYTIC = {
     ),
 }
 
-PROBLEM_NAMES = tuple(sorted(_ANALYTIC)) + ("gp-2d", "gp-8d", "gp-16d")
+PROBLEM_NAMES = tuple(sorted(_ANALYTIC)) + tuple(f"gp-{d}d" for d in sorted(_GP_PARAMS))
 
 
 def get_problem(name: str, mode: str = "extreme") -> Problem:
     """Look up a problem by registry name, in either regime."""
-    if name.startswith("gp-"):
-        d = int(name[3:].rstrip("d"))
-        return make_gp_problem(d, mode=mode)
-    if name not in _ANALYTIC:
+    if name not in PROBLEM_NAMES:
         raise KeyError(f"unknown problem {name!r}; known: {PROBLEM_NAMES}")
+    if name not in _ANALYTIC:
+        return make_gp_problem(int(name[3:-1]), mode=mode)
     fn, bounds, c, n_0, eps_s, delta_band, sig_ext, sig_non = _ANALYTIC[name]
     sigmas = sig_ext if mode == "extreme" else sig_non
     bounds = np.asarray(bounds, float)

@@ -1,16 +1,20 @@
 """Failure-probability estimators.
 
-Everything funnels through the same smoothed, importance-weighted qMC sum,
-log P = log mean(w * J) over the perturbations, J = Phi(h) * iota + (1 - iota)
-with h = (mean - c) / sd of a Gaussian marginal: the surrogate-based estimate
-of the expected failure probability (the GP posterior or its fantasy update),
-the Thompson-path variant (mean the sample path, variance rho^2), and the
-hard-indicator ground-truth evaluator used for scoring recommendations. One
+The surrogate estimators funnel through one smoothed, importance-weighted
+qMC sum, log P = log mean(w * J) over the perturbations, J = Phi(h) * iota +
+(1 - iota) with h = (mean - c) / sd of a Gaussian marginal: the estimate of
+the expected failure probability (the GP posterior or its fantasy update)
+and the Thompson-path variant (mean the sample path, variance rho^2). One
 function, ``_log_p``, standardizes any source's (mean, var) into h and turns
 it into log P and its gradient. J = 1 wherever iota = 0, so a value-only
 source forms its marginal only at the perturbed points with iota > 0. All
 accumulation happens in log-space so that probabilities far below 1e-8
 neither underflow nor lose their gradients.
+
+``evaluate_true_failure``, the ground truth that scores recommendations, is
+not that sum: it is the linear mean of w * 1[fail] on the true function, and
+a perturbed point on the closed box is inside there, where ``_log_p``'s hard
+indicator (delta = 0) keeps only the open interior.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from scipy.special import gammainc
 
 from .numerics import (
     SobolStream,
+    check_sizes,
     gaussian_qmc,
     gaussian_stream_dim,
     in_blocks,
@@ -73,8 +78,7 @@ def draw_is_sample(
     balance) from the inflated distribution N(0, tau^2 Sigma_u)."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    if n_u & (n_u - 1):
-        raise ValueError("n_u must be a power of two")
+    check_sizes({"n_u": n_u}, qmc=("n_u",))
     u = gaussian_qmc(stream, n_u, tau * perturb.sigmas)
     z = u / perturb.sigmas
     # log p(u) - log q(u) for the diagonal Gaussian pair

@@ -344,14 +344,11 @@ class RFFPath:
         freqs = z * np.sqrt(5.0 / chi2)[:, None] / hp.lengthscales
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
         weights = rng.standard_normal(n_features)
-        coef = np.zeros(0)
-        if state.n:
-            prior = cls(state, freqs, phases, weights, coef).fix_perturbations(None)
-            prior_at_train = prior._prior(state.Xn, False)[0][:, 0]
-            noise = rng.standard_normal(state.n) * np.sqrt(hp.noise_variance)
-            resid = state._zc - prior_at_train - noise
-            coef = cho_solve((state.chol, True), resid)
-        return cls(state, freqs, phases, weights, coef)
+        prior = cls(state, freqs, phases, weights, np.zeros(0)).fix_perturbations(None)
+        prior_at_train = prior._prior(state.Xn, False)[0][:, 0]
+        noise = rng.standard_normal(state.n) * np.sqrt(hp.noise_variance)
+        resid = state._zc - prior_at_train - noise
+        return cls(state, freqs, phases, weights, cho_solve((state.chol, True), resid))
 
     def evaluate(self, xs, us=None) -> np.ndarray:
         """Path values at every ``xs[i] + us[j]``, shape (m, n_u), original
@@ -425,22 +422,21 @@ class RFFPath:
         st, hp = self.state, self.state.hyperparams
         vals, grads = self._prior(Xn, want_grad)
         vals += hp.constant_mean
-        if st.n:
-            Un = self.fixed[1]
-            m, n_u, d = len(Xn), len(Un), st.dim
-            Pn = (Xn[:, None, :] + Un[None, :, :]).reshape(-1, d)
-            K, coef = _matern_block(Pn, st.Xn, hp, want_grad)
-            vals += (K @ self.update_coef).reshape(m, n_u)
-            if want_grad:
-                update = _contract(coef, self.update_coef, Pn, st.Xn, hp.lengthscales**2)
-                grads += update.reshape(m, n_u, d)
+        Un = self.fixed[1]
+        m, n_u, d = len(Xn), len(Un), st.dim
+        Pn = (Xn[:, None, :] + Un[None, :, :]).reshape(-1, d)
+        K, coef = _matern_block(Pn, st.Xn, hp, want_grad)
+        vals += (K @ self.update_coef).reshape(m, n_u)
+        if want_grad:
+            update = _contract(coef, self.update_coef, Pn, st.Xn, hp.lengthscales**2)
+            grads += update.reshape(m, n_u, d)
         return vals, grads
 
 
-def prior_state(hyperparams: GPHyperparams, bounds, output_mean=0.0, output_std=1.0):
-    """A zero-observation state (prior reduction of the posterior)."""
+def prior_state(hyperparams: GPHyperparams, bounds):
+    """A zero-observation state (prior reduction of the posterior), outputs standardized."""
     bounds = np.asarray(bounds, float)
-    tr = Transforms(bounds[:, 0], bounds[:, 1], output_mean, output_std)
+    tr = Transforms(bounds[:, 0], bounds[:, 1], 0.0, 1.0)
     return SurrogateState(np.zeros((0, len(bounds))), np.zeros(0), tr, hyperparams)
 
 

@@ -38,7 +38,7 @@ from relbo.numerics import SobolStream, gaussian_qmc, gaussian_stream_dim
 from relbo.optimizers import multistart_qn
 from relbo.problems import Problem, get_problem, make_gp_problem
 from relbo.reliability import PerturbationModel, draw_is_sample, smoothing_width
-from relbo.surrogate import GPHyperparams, fit_map, prior_state
+from relbo.surrogate import GPHyperparams, SurrogateState, Transforms, fit_map
 
 SMALL = dict(n_u=32, n_v=8, n_x=128, n_raw=64, n_restarts=4)
 
@@ -155,7 +155,8 @@ class TestThompson:
         # perturbation stage maximizes the density alone: u = 0, y = x.
         prob = get_problem("quadratic-2d")
         hp = GPHyperparams(1.0, np.array([0.3, 0.3]), 0.0)
-        state = prior_state(hp, prob.bounds, output_mean=prob.c, output_std=1.0)
+        tr = Transforms(prob.bounds[:, 0], prob.bounds[:, 1], prob.c, 1.0)
+        state = SurrogateState(np.zeros((0, 2)), np.zeros(0), tr, hp)
         spec = small_spec("ts_mr")
         y, diag = ts_mr_next(context(state, prob, spec, 4))
         assert np.linalg.norm(diag.perturbation) < 1e-4

@@ -61,6 +61,17 @@ record_timing = false
 """
 
 
+# A valid value other than the dataclass default for every INI key.
+INI_NON_DEFAULTS = {
+    "problem": {"name": "branin-2d", "mode": "non_extreme"},
+    "acquisition": {"kind": "ei", "n_u": 32, "n_v": 16, "n_x": 128, "n_raw": 64,
+                    "n_restarts": 5},
+    "budget": {"n_tot": 30, "repeats": 3, "base_seed": 4},
+    "recommendation": {"restarts": 5, "n_u_coarse": 512, "n_u_fine": 4096, "stride": 2,
+                       "score_n_u": 4096, "record_timing": False},
+}
+
+
 def write_config(tmp_path, text=CONFIG_TEXT, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -134,7 +145,36 @@ class TestConfig:
 
     def test_ini_keys_are_the_spec_fields(self):
         # An INI file sets exactly what a spec built in Python can.
-        assert set(harness._SPEC_KEYS) | {"kind"} == {f.name for f in fields(AcquisitionSpec)}
+        assert set(harness._INI["acquisition"]) == {f.name for f in fields(AcquisitionSpec)}
+
+    def test_every_field_set_by_exactly_one_ini_key(self):
+        set_by = sorted(name for keys in harness._INI.values() for name in keys.values())
+        settable = [f.name for cls in (ExperimentConfig, AcquisitionSpec) for f in fields(cls)
+                    if f.name not in ("acquisition", "out_dir")]
+        assert set_by == sorted(settable)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [(s, k, v) for s, keys in INI_NON_DEFAULTS.items() for k, v in keys.items()],
+    )
+    def test_each_ini_key_loads_like_python(self, tmp_path, section, key, value):
+        # One key set to a non-default value: the loaded config has that
+        # field, and the hash, of the config built in Python.
+        body = {"problem": {"name": "quadratic-2d"}, "acquisition": {"kind": "sobol"},
+                "budget": {"n_tot": 20}}
+        body.setdefault(section, {})[key] = value
+        text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                       for s, kv in body.items())
+        loaded = load_config(write_config(tmp_path, text))
+        name = harness._INI[section][key]
+        spec_kwargs = {"kind": "sobol"}
+        kwargs = {"problem": "quadratic-2d", "n_tot": 20}
+        (spec_kwargs if section == "acquisition" else kwargs)[name] = value
+        built = ExperimentConfig(acquisition=AcquisitionSpec(**spec_kwargs), **kwargs)
+        default = ExperimentConfig("quadratic-2d", AcquisitionSpec("sobol"), n_tot=20)
+        target = loaded.acquisition if section == "acquisition" else loaded
+        assert getattr(target, name) == value
+        assert loaded.hash() == built.hash() != default.hash()
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         a = sobol_config(tmp_path)
@@ -160,6 +200,13 @@ class TestConfig:
     def test_budget_below_initial_design_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             sobol_config(tmp_path, n_tot=3)  # quadratic-2d has n_0 = 6
+
+    def test_budget_without_a_bo_iteration_rejected(self, tmp_path):
+        # n_tot = n_0 would write a trace with no checkpoint, on which
+        # `relbo report` fails.
+        with pytest.raises(ValueError, match="n_tot 6 must exceed the initial design's n_0 6"):
+            load_config(config_with(tmp_path, "budget", "n_tot", 6))
+        load_config(config_with(tmp_path, "budget", "n_tot", 7))
 
     # Each rule below is checked when the config is loaded, not at the first
     # acquisition or recommendation that would trip over it.

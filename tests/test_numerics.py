@@ -64,7 +64,6 @@ class TestSobolStream:
         b = SobolStream(2, scramble_seed=3)
         a.take(5)
         b.skip(5)
-        assert b.cursor == a.cursor == 5
         np.testing.assert_array_equal(a.take(3), b.take(3))
 
 

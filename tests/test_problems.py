@@ -139,6 +139,12 @@ class TestRegistryTable:
         with pytest.raises(KeyError):
             get_problem("rosenbrock-2d")
 
+    @pytest.mark.parametrize("name", ["gp-2", "gp-02d", "gp-2dd", "gp-x"])
+    def test_gp_aliases_rejected_with_the_known_names(self, name):
+        # An alias of gp-2d would run it under a config hash of its own.
+        with pytest.raises(KeyError, match="known: .*'gp-2d'"):
+            get_problem(name)
+
 
 class TestDomainChecks:
     def test_out_of_domain_raises(self):

@@ -28,7 +28,7 @@ from relbo.reliability import (
     perturbed_grid,
     smoothing_width,
 )
-from relbo.surrogate import GPHyperparams, RFFPath, SurrogateState, prior_state
+from relbo.surrogate import GPHyperparams, RFFPath, SurrogateState, Transforms
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0]])
 
@@ -91,8 +91,10 @@ class TestDrawIsSample:
         model = PerturbationModel(np.array([1.0]))
         with pytest.raises(ValueError):
             draw_is_sample(model, 0.5, 64, u_stream(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_u must be a power of two, got 63"):
             draw_is_sample(model, 3.0, 63, u_stream(1))
+        with pytest.raises(ValueError, match="n_u must be at least 1, got 0"):
+            draw_is_sample(model, 3.0, 0, u_stream(1))
 
 
 class TestSmoothFeasibility:
@@ -169,7 +171,9 @@ class TestSmoothFeasibility:
 def flat_state(mean_value, sd=1.0, bounds=UNIT_BOX):
     """A prior state whose posterior is N(mean_value, sd^2) everywhere."""
     hp = GPHyperparams(1.0, np.full(len(bounds), 0.2), 0.0)
-    return prior_state(hp, bounds, output_mean=mean_value, output_std=sd)
+    bounds = np.asarray(bounds, float)
+    tr = Transforms(bounds[:, 0], bounds[:, 1], mean_value, sd)
+    return SurrogateState(np.zeros((0, len(bounds))), np.zeros(0), tr, hp)
 
 
 def log_phi_at(state, y, c):

@@ -262,7 +262,8 @@ class TestPosterior:
 
     def test_prior_reduction(self):
         hp = unit_hp(s2=4.0)
-        state = prior_state(hp, [[0, 1], [0, 1]], output_mean=1.5, output_std=2.0)
+        tr = Transforms(np.zeros(2), np.ones(2), 1.5, 2.0)
+        state = SurrogateState(np.zeros((0, 2)), np.zeros(0), tr, hp)
         mean, var = state.posterior(np.array([[0.3, 0.3], [0.9, 0.1]]))
         np.testing.assert_allclose(mean, 1.5)
         np.testing.assert_allclose(var, 4.0 * 2.0**2)
