@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import load_config, read_trace, run_experiment
+from .numerics import check_sizes
 from .problems import get_problem
 from .reliability import evaluate_true_failure
 from .report import aggregate_traces, emit_plot, write_summary
@@ -34,7 +35,17 @@ def _cmd_run(args):
 
 def _cmd_score(args):
     problem = get_problem(args.problem, args.mode)
-    _, rows = read_trace(args.trace)
+    header, rows = read_trace(args.trace)
+    try:  # checked before any row is scored
+        check_sizes({"n_u": args.n_u}, qmc=("n_u",))
+        for prefix in ("y_", "x_rec_"):
+            width = sum(key.startswith(prefix) for key in header)
+            if width != problem.dim:
+                raise ValueError(f"{args.trace} has {width} {prefix}* columns, but "
+                                 f"{problem.name} has dimension {problem.dim}")
+    except ValueError as err:
+        print(f"relbo score: {err}", file=sys.stderr)
+        return 1
     print("n,p_true")
     for row in rows:
         if row["phase"] != "iter" or row.get("x_rec_1") is None:
@@ -54,7 +65,7 @@ def _cmd_report(args):
     groups = {}
     for mpath in manifests:
         manifest = json.loads(mpath.read_text())
-        prob = manifest["config"]["problem"]
+        prob, mode = manifest["config"]["problem"], manifest["config"]["mode"]
         alg = manifest["config"]["acquisition"]["kind"]
         if args.problems and prob not in args.problems:
             continue
@@ -62,13 +73,14 @@ def _cmd_report(args):
             continue
         for rec in manifest["repeats"].values():
             if rec["status"] == "ok" and rec["trace"]:  # relative to the manifest
-                groups.setdefault((prob, alg), []).append(mpath.parent / rec["trace"])
+                groups.setdefault((prob, mode, alg), []).append(mpath.parent / rec["trace"])
     if not groups:
         print("no completed traces matched the filters", file=sys.stderr)
         return 1
-    curves = [
-        aggregate_traces(paths, problem=prob, algorithm=alg)
-        for (prob, alg), paths in sorted(groups.items())
+    curves = [  # a non-extreme curve gets a panel and summary row of its own
+        aggregate_traces(paths, problem=prob if mode == "extreme" else f"{prob} ({mode})",
+                         algorithm=alg)
+        for (prob, mode, alg), paths in sorted(groups.items())
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -133,9 +133,10 @@ def in_blocks(fn, rows: np.ndarray, width: int):
     A block holds ``ELEMENT_BUDGET // width`` rows rounded down to a power of
     two, so a temporary of ``width`` float64 per row stays within the budget.
     That the blocks leave the bytes of the products unchanged is checked at
-    the widths of the golden fixtures (tests/test_golden.py), not promised
-    for every width and budget: smaller blocks can move them. ``fn`` returns
-    an array or a tuple of arrays, each with one leading entry per row.
+    the widths of the golden fixtures and of the fantasy scan's design blocks
+    (tests/test_golden.py), not promised for every width and budget: smaller
+    blocks can move them. ``fn`` returns an array or a tuple of arrays, each
+    with one leading entry per row.
     """
     step = 1 << max(0, (ELEMENT_BUDGET // max(width, 1)).bit_length() - 1)
     if len(rows) <= step:

@@ -11,6 +11,7 @@ import pytest
 from scipy.special import log_ndtr
 
 import relbo.acquisition as acquisition
+import relbo.numerics as numerics
 import relbo.reliability as reliability
 from conftest import fd_gradient_error, smooth_feasibility
 from reference import kg_discrete_value
@@ -295,45 +296,55 @@ class TestDiscreteKG:
 
 class TestKeptRowScan:
     """The candidate scan forms its fantasy update only at the perturbed grid
-    points inside the box (iota > 0), point-major."""
+    points inside the box (iota > 0), point-major, one block of grid designs
+    at a time. At the KG sizes n_u = 64, n_v = 32 a block holds 32 designs,
+    so the 100-design grid spans four blocks, the last one ragged."""
 
     def scan(self, name, n):
         prob, state = fitted(name, n)
         bounds, span = prob.bounds, prob.bounds[:, 1] - prob.bounds[:, 0]
-        spec = small_spec("kg_mr_discrete")
+        spec = small_spec("kg_mr_discrete", n_u=64, n_v=32, n_x=100)
         streams = IterationStreams.from_seed(11, prob.dim)
         is_sample = draw_is_sample(prob.perturb, prob.default_tau, spec.n_u, streams.u_stream)
         z = gaussian_qmc(streams.z_stream, spec.n_v, np.ones(1))[:, 0]
         x_disc = bounds[:, 0] + streams.x_stream.take(spec.n_x) * span
         scan = _FantasyScan(state, x_disc, z, is_sample, bounds, prob.c, prob.use_log)
-        kept = np.count_nonzero(smooth_feasibility(scan.pts, bounds, 0.0) > 0.0)
-        assert 0 < kept < len(scan.pts)
+        assert numerics.ELEMENT_BUDGET // (spec.n_u * spec.n_v) == 32
+        rows = 32 * spec.n_u  # perturbed points per block
+        kept = smooth_feasibility(scan.pts, bounds, 0.0) > 0.0
+        per_block = [np.count_nonzero(kept[i : i + rows]) for i in range(0, len(kept), rows)]
+        assert len(per_block) == 4 and all(0 < k < rows for k in per_block[:-1])
         sites = bounds[:, 0] + SobolStream(prob.dim, scramble_seed=5).take(4) * span
-        return scan, kept, sites
+        return scan, kept, per_block, sites
 
     @pytest.mark.parametrize("name, n", [("branin-2d", 30), ("hartmann-6d", 40)])
     def test_update_formed_at_exactly_the_kept_rows(self, name, n, monkeypatch):
-        scan, kept, sites = self.scan(name, n)
-        shapes, real = [], acquisition._fantasy_marginal
+        scan, kept, per_block, sites = self.scan(name, n)
+        means, shapes, real = [], [], acquisition._fantasy_marginal
 
         def spy(*args, **kwargs):
             out = real(*args, **kwargs)
+            means.append(args[2][:, 0])
             shapes.append(out[0].shape)
             return out
 
         monkeypatch.setattr(acquisition, "_fantasy_marginal", spy)
         for delta in (0.0, smoothing_width(scan.bounds)):
             for y in sites:
+                means.clear()
                 scan.log_p_at(y, delta)
-        assert shapes == [(kept, len(scan.z))] * (2 * len(sites))
+                # The blocks together cover exactly the kept rows, in order.
+                assert np.concatenate(means).tobytes() == scan.mean[kept].tobytes()
+        assert shapes == [(k, len(scan.z)) for k in per_block] * (2 * len(sites))
 
     def test_log_ndtr_reads_each_points_fantasies_together(self, monkeypatch):
-        """log_ndtr's input h, (Nv, kept), is F-contiguous, so that each
-        point's fantasies lie next to each other. Over the same values in C
-        order, log_ndtr took 1.5x as long on 2 CPUs: 1.18 s against 0.79 s
-        over the 25.5M elements of the 65 scan calls on a kgd-branin fixture
-        (1.08-1.29 s against 0.90-0.93 s over 31.9M elements in a rerun)."""
-        scan, kept, sites = self.scan("branin-2d", 30)
+        """log_ndtr's input h, (Nv, kept in the block), is F-contiguous, so
+        that each point's fantasies lie next to each other. Over the same
+        values in C order, log_ndtr took 1.5x as long on 2 CPUs: 1.18 s
+        against 0.79 s over the 25.5M elements of the 65 scan calls on a
+        kgd-branin fixture (1.08-1.29 s against 0.90-0.93 s over 31.9M
+        elements in a rerun)."""
+        scan, kept, per_block, sites = self.scan("branin-2d", 30)
         layouts, real = [], reliability.std_normal_log_cdf
 
         def spy(h):
@@ -343,7 +354,7 @@ class TestKeptRowScan:
         monkeypatch.setattr(reliability, "std_normal_log_cdf", spy)
         for y in sites:
             scan.value_at(y)
-        assert layouts == [((len(scan.z), kept), True)] * len(sites)
+        assert layouts == [((len(scan.z), k), True) for k in per_block] * len(sites)
 
 
 class TestOneShotKG:

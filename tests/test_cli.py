@@ -6,7 +6,7 @@ import pytest
 
 from relbo import cli
 from relbo.cli import main
-from relbo.harness import environment_fingerprint
+from relbo.harness import TraceWriter, environment_fingerprint
 
 CONFIG_TEXT = """\
 [problem]
@@ -128,3 +128,53 @@ def test_report_finds_traces_after_the_directory_moves(tmp_path, monkeypatch):
     manifest_path.write_text(json.dumps(manifest))
     assert main(["report", "--in", str(moved), "--out", str(tmp_path / "rep2")]) == 0
     assert read == [traces, traces]
+
+
+def write_trace(path, dim, p_true=1e-3):
+    """A hand-written trace of ``dim`` columns per point with one iteration
+    row, at n = 5, whose recommendation has true failure probability
+    ``p_true``."""
+    header = TraceWriter(path, dim).header
+    row = {"repeat": 0, "n": 5, "phase": "iter", "rule": "sobol", "p_true": p_true}
+    cells = [str(row.get(key, 0.5)) for key in header]
+    path.write_text(",".join(header) + "\n" + ",".join(cells) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("dim, problem, width", [(6, "branin-2d", 6), (2, "hartmann-6d", 2)])
+def test_score_rejects_a_trace_of_another_dimension(tmp_path, capsys, dim, problem, width):
+    trace = write_trace(tmp_path / "trace.csv", dim)
+    assert main(["score", "--trace", str(trace), "--problem", problem, "--n-u", "64"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no row was scored
+    assert err.count("\n") == 1 and f"has {width} y_* columns" in err
+
+
+def test_score_checks_n_u_before_scoring(tmp_path, capsys):
+    trace = write_trace(tmp_path / "trace.csv", 2)
+    assert main(["score", "--trace", str(trace), "--problem", "branin-2d", "--n-u", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "relbo score: n_u must be a power of two, got 1000\n"
+
+
+def test_report_keeps_the_modes_apart(tmp_path):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for mode, p_true in (("extreme", 1e-6), ("non_extreme", 1e-2)):
+        write_trace(runs / f"trace_{mode}.csv", 2, p_true)
+        manifest = {
+            "config": {"problem": "quadratic-2d", "mode": mode,
+                       "acquisition": {"kind": "sobol"}},
+            "repeats": {"0": {"status": "ok", "trace": f"trace_{mode}.csv"}},
+        }
+        (runs / f"manifest_{mode}.json").write_text(json.dumps(manifest))
+    assert main(["report", "--in", str(runs), "--out", str(tmp_path / "rep")]) == 0
+    rows = (tmp_path / "rep" / "curves.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["quadratic-2d", "sobol", "5", "9.9999999999999995e-07"],
+        ["quadratic-2d (non_extreme)", "sobol", "5", "0.01"],
+    ]
+    summary = (tmp_path / "rep" / "summary.md").read_text()
+    assert "| quadratic-2d | sobol | 1 |" in summary
+    assert "| quadratic-2d (non_extreme) | sobol | 1 |" in summary

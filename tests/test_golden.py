@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relbo import numerics
+from relbo import acquisition, numerics
 from relbo.acquisition import (
     _RHO,
     AcquisitionSpec,
@@ -219,6 +219,42 @@ def test_default_blocks_equal_one_block_bytewise(name, monkeypatch):
     blocked = {key: _digest(*fn()) for key, fn in calls.items()}
     monkeypatch.setattr(numerics, "ELEMENT_BUDGET", 2**24)  # one block
     assert {key: _digest(*fn()) for key, fn in calls.items()} == blocked
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fantasy_scan_blocks_bytewise(name, monkeypatch):
+    # At n_u = 64, n_v = 32 a block holds 32 grid designs at the default
+    # budget, so 100 designs span four blocks, the last one ragged.
+    golden_entry()
+    prob, state = fitted(name, FIXTURES[name])
+    bounds = prob.bounds
+    u_stream = SobolStream(gaussian_stream_dim(prob.dim), scramble_seed=7)
+    sample = draw_is_sample(prob.perturb, prob.default_tau, 64, u_stream)
+    z = gaussian_qmc(SobolStream(2, scramble_seed=9), 32, np.ones(1))[:, 0]
+    scan = _FantasyScan(state, _box(bounds, 100, 10), z, sample, bounds, prob.c, prob.use_log)
+    ys = _box(bounds, 4, 8)
+
+    def digests():
+        return {
+            "scan": _digest(scan.scan(ys)),
+            "value_at": _digest(*scan.value_at(ys[0])),
+            "value_and_grad": _digest(*scan.value_and_grad(ys[1])),
+            "log_p_at": _digest(scan.log_p_at(ys[2], smoothing_width(bounds))),
+        }
+
+    blocked = digests()
+    for budget in (2**24, 2**10):  # one block; many blocks
+
+        def scan_blocks(fn, rows, width, budget=budget):
+            # Only the scan's blocks: the envelope gradient's surrogate pass
+            # blocks its rows by the same budget, and at 2^10 those smaller
+            # products move the hartmann-6d bytes without any scan blocking.
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "ELEMENT_BUDGET", budget)
+                return numerics.in_blocks(fn, rows, width)
+
+        monkeypatch.setattr(acquisition, "in_blocks", scan_blocks)
+        assert digests() == blocked, budget
 
 
 if __name__ == "__main__":
