@@ -24,6 +24,7 @@ from .numerics import (
     gaussian_qmc,
     gaussian_stream_dim,
     in_blocks,
+    parallel_map,
     std_normal_cdf,
     std_normal_log_cdf,
     std_normal_log_pdf,
@@ -421,8 +422,8 @@ class _FantasyScan:
         return value, np.sum(_value_grad(log_p, grad_y, self.use_log), axis=0) / len(self.z)
 
     def scan(self, ys):
-        """``value_at`` over candidates."""
-        return np.array([self.value_at(y)[0] for y in ys])
+        """``value_at`` over candidates, one thread per CPU."""
+        return np.array([value for value, _ in parallel_map(self.value_at, ys)])
 
 
 def oneshot_objective(state, joint, z_sample, is_sample, bounds, delta, c, use_log):

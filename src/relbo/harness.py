@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .acquisition import AcqContext, AcquisitionSpec, IterationStreams, next_point
-from .numerics import SobolStream, check_sizes, gaussian_stream_dim
+from .numerics import SobolStream, check_sizes, gaussian_stream_dim, openblas_function
 from .optimizers import boltzmann_restarts, multistart_qn
 from .problems import Problem, get_problem
 from .reliability import (
@@ -176,7 +176,9 @@ def recommend(
     a much larger sample (the fine stage). When every candidate's estimate
     is zero, none is more reliable than another and the first is returned.
 
-    Returns (x_rec, p_hat at x_rec).
+    Returns (x_rec, p_hat at x_rec). p_hat is clamped to 1: the estimate
+    mean(w * J) can exceed 1, since the importance weights' sample mean is
+    not exactly 1.
     """
     bounds = problem.bounds
     d, tau = problem.dim, problem.default_tau
@@ -205,7 +207,7 @@ def recommend(
         fine_stream = SobolStream(gaussian_stream_dim(d), scramble_seed=_child_seed(seed, 4))
         fine_sample = draw_is_sample(problem.perturb, tau, n_u_fine, fine_stream)
         x_best, val, _ = polish(fine_sample, [x_best], max_iters=50)
-    return x_best, float(np.exp(val))
+    return x_best, min(float(np.exp(val)), 1.0)
 
 
 # -- trace persistence -----------------------------------------------------
@@ -385,12 +387,8 @@ def _blas_id(show_config) -> str:
 
 def _blas_core(package, symbol) -> str:
     """The kernel set the OpenBLAS in ``<package>.libs`` picked for this CPU."""
-    libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-    try:
-        lib = ctypes.CDLL(str(next(libs.glob("*openblas*"))))
-        return ctypes.CFUNCTYPE(ctypes.c_char_p)((symbol, lib))().decode()
-    except (StopIteration, OSError, AttributeError):
-        return "unknown"
+    corename = openblas_function(package, symbol, ctypes.c_char_p)
+    return corename().decode() if corename else "unknown"
 
 
 def environment_fingerprint() -> dict:

@@ -27,9 +27,12 @@ from scipy.special import gammainc
 from .numerics import (
     SobolStream,
     check_sizes,
+    concat_blocks,
     gaussian_qmc,
     gaussian_stream_dim,
     in_blocks,
+    parallel_map,
+    row_blocks,
     std_normal_log_cdf,
     std_normal_log_pdf,
 )
@@ -315,8 +318,9 @@ def estimate_pn_batch(
 ) -> np.ndarray:
     """log P_hat at each of a batch of nominal designs (no gradients).
 
-    Vectorized over blocks of candidates, so the perturbed grid of one block
-    is built at a time; equal to looping :func:`estimate_pn`.
+    Vectorized over blocks of candidates, one thread per CPU, so each thread
+    builds the perturbed grid of one block at a time; equal to looping
+    :func:`estimate_pn`.
     """
 
     def block(xs):
@@ -327,7 +331,7 @@ def estimate_pn_batch(
         )[0]
 
     xs = np.atleast_2d(np.asarray(xs, float))
-    return in_blocks(block, xs, len(is_sample) * xs.shape[1])
+    return concat_blocks(parallel_map(block, row_blocks(xs, len(is_sample) * xs.shape[1])))
 
 
 def estimate_ptilde_batch(path, xs, is_sample, bounds, delta, c, rho) -> np.ndarray:

@@ -7,7 +7,8 @@ only, so the digests live in ``tests/golden/<key>.json``, the key being the
 first 16 hex digits of the sha256 of ``environment_fingerprint()`` as sorted
 JSON. The tests compare against this platform's entry and skip when there is
 none; the hot-path digests are also recomputed at one BLAS thread, and on the
-fixtures the default row blocks must give the bytes of a single block. An
+fixtures the default row blocks must give the bytes of a single block and the
+candidate pool those of a plain loop, in a forked child too. An
 entry is written only by running this file, which prints each digest that
 differs from the entry it overwrites::
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -197,6 +199,18 @@ def test_hot_path_digests_match_golden_at_one_blas_thread():
     assert json.loads(run.stdout) == want
 
 
+def kg_scan_fixture(name):
+    """The fantasy scan at the KG sizes (n_u = 64, n_v = 32) over 100 grid
+    designs on the fixture ``name``, and 8 candidate sites."""
+    prob, state = fitted(name, FIXTURES[name])
+    bounds = prob.bounds
+    u_stream = SobolStream(gaussian_stream_dim(prob.dim), scramble_seed=7)
+    sample = draw_is_sample(prob.perturb, prob.default_tau, 64, u_stream)
+    z = gaussian_qmc(SobolStream(2, scramble_seed=9), 32, np.ones(1))[:, 0]
+    scan = _FantasyScan(state, _box(bounds, 100, 10), z, sample, bounds, prob.c, prob.use_log)
+    return scan, _box(bounds, 8, 8)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_default_blocks_equal_one_block_bytewise(name, monkeypatch):
     # Checked where the digests were made, at the fixtures' widths: smaller
@@ -226,13 +240,8 @@ def test_fantasy_scan_blocks_bytewise(name, monkeypatch):
     # At n_u = 64, n_v = 32 a block holds 32 grid designs at the default
     # budget, so 100 designs span four blocks, the last one ragged.
     golden_entry()
-    prob, state = fitted(name, FIXTURES[name])
-    bounds = prob.bounds
-    u_stream = SobolStream(gaussian_stream_dim(prob.dim), scramble_seed=7)
-    sample = draw_is_sample(prob.perturb, prob.default_tau, 64, u_stream)
-    z = gaussian_qmc(SobolStream(2, scramble_seed=9), 32, np.ones(1))[:, 0]
-    scan = _FantasyScan(state, _box(bounds, 100, 10), z, sample, bounds, prob.c, prob.use_log)
-    ys = _box(bounds, 4, 8)
+    scan, ys = kg_scan_fixture(name)
+    bounds = scan.bounds
 
     def digests():
         return {
@@ -246,15 +255,58 @@ def test_fantasy_scan_blocks_bytewise(name, monkeypatch):
     for budget in (2**24, 2**10):  # one block; many blocks
 
         def scan_blocks(fn, rows, width, budget=budget):
-            # Only the scan's blocks: the envelope gradient's surrogate pass
-            # blocks its rows by the same budget, and at 2^10 those smaller
-            # products move the hartmann-6d bytes without any scan blocking.
-            with monkeypatch.context() as patch:
-                patch.setattr(numerics, "ELEMENT_BUDGET", budget)
-                return numerics.in_blocks(fn, rows, width)
+            # Only the scan's blocks, cut by the rule of numerics.row_blocks
+            # at this budget. numerics.ELEMENT_BUDGET is left alone: the
+            # scan's candidates run on concurrent threads, and the envelope
+            # gradient's surrogate pass blocks its rows by that budget, where
+            # at 2^10 the smaller products move the hartmann-6d bytes without
+            # any scan blocking.
+            step = 1 << max(0, (budget // width).bit_length() - 1)
+            blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
+            return numerics.concat_blocks([fn(block) for block in blocks])
 
         monkeypatch.setattr(acquisition, "in_blocks", scan_blocks)
         assert digests() == blocked, budget
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_pool_gives_the_inline_bytes(name):
+    # The scan and recommend's coarse scan map independent candidates over
+    # the pool; inside a task the map runs inline at one BLAS thread, and a
+    # plain loop on this thread runs at the default BLAS thread count.
+    scan, ys = kg_scan_fixture(name)
+    prob, state, bounds = get_problem(name), scan.state, scan.bounds
+    u_stream = SobolStream(gaussian_stream_dim(prob.dim), scramble_seed=7)
+    sample = draw_is_sample(prob.perturb, prob.default_tau, 1024, u_stream)
+    xs = _box(bounds, 256, 8)  # 8 blocks on branin-2d, 32 on hartmann-6d
+
+    def outputs():
+        grid = (sample, bounds, smoothing_width(bounds), prob.c)
+        return scan.scan(ys).tobytes(), estimate_pn_batch(state, xs, *grid).tobytes()
+
+    pooled = outputs()
+    assert numerics.parallel_map(lambda _: outputs(), range(2)) == [pooled] * 2
+    looped = np.array([scan.value_at(y)[0] for y in ys]).tobytes()
+    assert looped == pooled[0]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_forked_child_builds_its_own_pool(name):
+    # `relbo run --parallel N` forks its repeats. The parent's pool threads
+    # do not survive a fork, so a child that reused the pool would wait on
+    # them forever.
+    scan, ys = kg_scan_fixture(name)
+    want = scan.scan(ys).tobytes()  # the parent's pool is built
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(scan.scan(ys).tobytes()))
+    child.start()
+    try:
+        assert recv.poll(120), "the forked child's scan did not finish"
+        assert recv.recv() == want
+    finally:
+        child.kill()
+        child.join()
 
 
 if __name__ == "__main__":

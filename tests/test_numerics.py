@@ -1,4 +1,10 @@
-"""Low-level numerics: Sobol' streams, Box-Muller, special functions."""
+"""Low-level numerics: Sobol' streams, Box-Muller, special functions, row
+blocks and the candidate pool."""
+
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from relbo.numerics import (
     box_muller,
     gaussian_qmc,
     in_blocks,
+    parallel_map,
     std_normal_cdf,
     std_normal_log_cdf,
     std_normal_log_pdf,
@@ -140,6 +147,83 @@ class TestInBlocks:
     def test_one_block_is_a_plain_call(self):
         rows = np.ones((5, 3))
         assert in_blocks(lambda r: r, rows, 3) is rows
+
+
+def blas_thread_counts():
+    counts = [get() for get, _ in numerics._blas_thread_counts()]
+    if not counts:
+        pytest.skip("no bundled OpenBLAS with a settable thread count")
+    return counts
+
+
+class TestParallelMap:
+    on_pool = len(os.sched_getaffinity(0)) > 1
+
+    def test_results_in_item_order(self):
+        # Later items finish first.
+        def task(i):
+            time.sleep(0.002 * (20 - i))
+            return i * i
+
+        assert parallel_map(task, range(20)) == [i * i for i in range(20)]
+        assert parallel_map(task, []) == []
+        assert parallel_map(task, [3]) == [9]
+
+    def test_nested_call_runs_inline(self):
+        def task(i):
+            inner = parallel_map(lambda j: threading.current_thread(), range(4))
+            return threading.current_thread(), inner
+
+        for outer, inner in parallel_map(task, range(4)):
+            assert inner == [outer] * 4
+            assert (outer is threading.main_thread()) is not self.on_pool
+
+    def test_blas_held_at_one_thread_then_restored(self):
+        before = blas_thread_counts()
+        inside = parallel_map(lambda _: blas_thread_counts(), range(4))
+        assert blas_thread_counts() == before
+        if self.on_pool:
+            assert inside == [[1] * len(before)] * 4
+
+    def test_exception_reaches_caller_after_every_task(self):
+        before = blas_thread_counts()
+        done = []
+
+        def task(i):
+            if i == 1:
+                raise ValueError("task 1")
+            time.sleep(0.02)
+            done.append(i)
+
+        with pytest.raises(ValueError, match="task 1"):
+            parallel_map(task, range(6))
+        if self.on_pool:  # inline, the loop stops at the exception
+            assert sorted(done) == [0, 2, 3, 4, 5]
+        assert blas_thread_counts() == before
+
+    def test_concurrent_callers_restore_blas_counts(self):
+        # More callers than CPUs, switching threads often: each map's results
+        # stay in order, and the counts come back when the last map leaves.
+        before = blas_thread_counts()
+        results = []
+
+        def caller():
+            for _ in range(50):
+                results.append(parallel_map(abs, range(-8, 0)))
+
+        callers = [threading.Thread(target=caller) for _ in range(4 * len(os.sched_getaffinity(0)))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [list(range(8, 0, -1))] * (50 * len(callers))
+        assert blas_thread_counts() == before
 
 
 class TestNormalFunctions:
