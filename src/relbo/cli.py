@@ -21,6 +21,9 @@ from .report import aggregate_traces, emit_plot, write_summary
 
 
 def _cmd_run(args):
+    if args.parallel < 1:
+        print(f"relbo run: --parallel must be at least 1, got {args.parallel}", file=sys.stderr)
+        return 1
     config = load_config(args.config, out_dir=args.out)
     overrides = {"repeats": args.repeats, "base_seed": args.seed}  # checked by __post_init__
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})

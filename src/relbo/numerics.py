@@ -1,12 +1,16 @@
 """Deterministic low-level numerics: scrambled Sobol' streams, Gaussian qMC
 draws via Box-Muller, the special functions used by the probability and
 smoothing formulas, the row blocking that bounds the memory of large
-batches, and the thread pool that maps independent candidates over the
-process's CPUs.
+batches, and ``parallel_map``, which maps independent candidates over one
+thread per CPU. Its threads live for one map, with OpenBLAS held at one
+thread until that map ends, so no pool survives a fork; a map that finds the
+pool taken (nested in a task, or started from another thread meanwhile) runs
+inline.
 
 All functions here are pure; :class:`SobolStream` is the only stateful object
 (a mutable cursor into a fixed low-discrepancy sequence), apart from the
-pool and the OpenBLAS handles, which are built on first use.
+lock that one map at a time holds and the OpenBLAS handles, which are looked
+up on first use.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import functools
 import os
 import threading
 import warnings
-from concurrent.futures import wait
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -199,60 +202,10 @@ def _blas_thread_counts() -> list:
     return found
 
 
-# The pool and the BLAS pin are per process, built on first use: a forked
-# child (``relbo run --parallel N``) inherits no pool threads and perhaps a
-# lock that another thread held, so it starts afresh.
-_lock = threading.Lock()
-_pool = None  # ThreadPoolExecutor, or False on one CPU
-_maps_running = 0  # maps holding BLAS at one thread
-_saved_counts = []  # (thread count, set) per OpenBLAS, from the first of them
-_worker = threading.local()
-
-
-def _reset_after_fork():
-    global _lock, _pool, _maps_running
-    _lock, _pool, _maps_running = threading.Lock(), None, 0
-
-
-os.register_at_fork(after_in_child=_reset_after_fork)
-
-
-@contextmanager
-def _one_blas_thread():
-    """NumPy's and SciPy's OpenBLAS held at one thread while any map runs,
-    their counts restored when the last one leaves, also when it raises."""
-    global _maps_running, _saved_counts
-    with _lock:
-        if _maps_running == 0:
-            _saved_counts = [(get(), put) for get, put in _blas_thread_counts()]
-            for _, put in _saved_counts:
-                put(1)
-        _maps_running += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _maps_running -= 1
-            if _maps_running == 0:
-                for count, put in _saved_counts:
-                    put(count)
-
-
-def _mark_worker():
-    _worker.active = True
-
-
-def _thread_pool():
-    """This process's pool, one thread per CPU in its affinity, or False on
-    one CPU."""
-    global _pool
-    with _lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            n_cpu = len(os.sched_getaffinity(0))
-            _pool = n_cpu > 1 and ThreadPoolExecutor(n_cpu, "relbo", initializer=_mark_worker)
-        return _pool
+# Only ever tried, never waited on, so a fork needs no handler: a child
+# forked while another thread maps starts with it held and runs its maps
+# inline, the same bytes but slower.
+_pool_lock = threading.Lock()
 
 
 def parallel_map(fn, items) -> list:
@@ -264,17 +217,24 @@ def parallel_map(fn, items) -> list:
     against the other tasks; the counts are restored once every task has
     finished, also when one raises, and the first exception in item order
     reaches the caller. The map runs inline for one item, on one CPU, and
-    when called from a task.
+    when the pool is taken: called from a task, or from another thread while
+    a map runs.
     """
     items = list(items)
-    if len(items) < 2 or getattr(_worker, "active", False):
+    n_cpu = len(os.sched_getaffinity(0))
+    if len(items) < 2 or n_cpu < 2 or not _pool_lock.acquire(blocking=False):
         return [fn(x) for x in items]
-    pool = _thread_pool()
-    if not pool:
-        return [fn(x) for x in items]
-    with _one_blas_thread():
-        futures = [pool.submit(fn, x) for x in items]
-        wait(futures)
+    saved = []
+    try:
+        saved = [(get(), put) for get, put in _blas_thread_counts()]
+        for _, put in saved:
+            put(1)
+        with ThreadPoolExecutor(min(n_cpu, len(items)), "relbo") as pool:
+            futures = [pool.submit(fn, x) for x in items]  # leaving joins every thread
+    finally:
+        for count, put in saved:
+            put(count)
+        _pool_lock.release()
     return [f.result() for f in futures]
 
 

@@ -131,8 +131,11 @@ def _scipy_matmul(A, B):
     two load separate OpenBLAS builds, each with its own worker threads, and
     with 2 BLAS threads on 2 CPUs the posterior's products ran slower through
     NumPy's (``kg_oneshot_next`` on a branin-2d n=30 fit: 11.8-14.3 s, against
-    8.5-8.7 s through SciPy's). The transposes hand C-contiguous operands to
-    the Fortran routine without a copy."""
+    8.5-8.7 s through SciPy's). It also fixes the bytes: for a one-row A,
+    as every L-BFGS evaluation's posterior has, NumPy's product differs from
+    SciPy's in the last bits (up to 1.4e-14 at n = 80), at one BLAS thread as
+    at two, and ``A @ B`` here moves golden digests. The transposes hand
+    C-contiguous operands to the Fortran routine without a copy."""
     return dgemm(1.0, B.T, A.T).T
 
 

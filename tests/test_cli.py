@@ -101,6 +101,16 @@ def test_parallel_run_matches_sequential(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_run_rejects_parallel_below_one(tmp_path, capsys, n):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG_TEXT)
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", n]) == 1
+    assert capsys.readouterr().err == f"relbo run: --parallel must be at least 1, got {n}\n"
+    assert not out.exists()  # nothing ran
+
+
 def test_report_finds_traces_after_the_directory_moves(tmp_path, monkeypatch):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(CONFIG_TEXT)

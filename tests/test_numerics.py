@@ -225,6 +225,39 @@ class TestParallelMap:
         assert results == [list(range(8, 0, -1))] * (50 * len(callers))
         assert blas_thread_counts() == before
 
+    @pytest.mark.skipif(not on_pool, reason="one CPU: every map runs inline")
+    def test_no_thread_outlives_the_map(self):
+        before = set(threading.enumerate())
+        ran_on = parallel_map(lambda _: threading.current_thread(), range(8))
+        assert threading.main_thread() not in ran_on
+        assert not any(t.is_alive() for t in ran_on)
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.skipif(not on_pool, reason="one CPU: every map runs inline")
+    def test_map_started_while_the_pool_is_taken_runs_inline(self):
+        # The first map's tasks hold every CPU until the second map returns.
+        # Their waits are bounded, so a second map that queued behind them
+        # fails instead of hanging.
+        n_cpu = len(os.sched_getaffinity(0))
+        holding, release = threading.Event(), threading.Event()
+
+        def hold(_):
+            holding.set()
+            return release.wait(timeout=10)
+
+        first = []
+        other = threading.Thread(target=lambda: first.append(parallel_map(hold, range(n_cpu))))
+        other.start()
+        try:
+            assert holding.wait(timeout=10)
+            second = parallel_map(lambda i: (i, threading.current_thread()), range(4))
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert second == [(i, threading.main_thread()) for i in range(4)]
+        assert first == [[True] * n_cpu]
+
 
 class TestNormalFunctions:
     def test_cdf_symmetry_point(self):
